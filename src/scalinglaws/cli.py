@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import ScalingLawError, ValidationError
+from .errors import InsufficientDataError, ScalingLawError, ValidationError
 from .fitting import (
     FitOptions,
     extract_converged_run,
@@ -25,7 +25,6 @@ from .fitting import (
     fit_critical_batch_law,
     fit_full_pipeline,
 )
-from .errors import InsufficientDataError
 from .io import (
     _open_out,
     document_from_report,
@@ -60,10 +59,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _machine(value):
-    return value
-
-
 def _emit_rows(headers, rows, fmt, target):
     """Write tabular output as an aligned table, csv, or jsonl."""
     with _open_out(target) as out:
@@ -82,7 +77,7 @@ def _emit_rows(headers, rows, fmt, target):
                 out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
         else:
             for row in rows:
-                out.write(json.dumps(dict(zip(headers, (_machine(v) for v in row)))) + "\n")
+                out.write(json.dumps(dict(zip(headers, row))) + "\n")
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -224,8 +219,10 @@ def cmd_scan(args) -> int:
         ("loss_target", "s_min", "e_min", "b_crit", "points", "residual_rms"),
         rows, args.format, args.out,
     )
-    print(f"b_star: {law.scale:.10g}")
-    print(f"alpha_b: {law.exponent:.10g}")
+    # csv or jsonl rows on stdout must parse, so the law goes to stderr
+    prose = sys.stderr if args.format != "table" and args.out == "-" else sys.stdout
+    print(f"b_star: {law.scale:.10g}", file=prose)
+    print(f"alpha_b: {law.exponent:.10g}", file=prose)
     return 0
 
 

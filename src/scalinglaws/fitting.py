@@ -417,11 +417,11 @@ def extract_contours(
             raise ValidationError(
                 f"scan runs mix model sizes {n0!r} and {run.n_params!r}"
             )
+    curves = [run.split_arrays(_pick_split(run, split)) for run in runs]
     contours = []
     for target in np.asarray(targets, dtype=float):
         batches, steps_at = [], []
-        for run in runs:
-            steps, _, losses = run.split_arrays(_pick_split(run, split))
+        for run, (steps, _, losses) in zip(runs, curves):
             found = _first_crossing(steps, losses, float(target))
             if found is None:
                 warnings.warn(

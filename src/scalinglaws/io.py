@@ -2,7 +2,9 @@
 
 Run logs are a single JSON header line followed by one row per logged
 sample, either JSON objects (the default) or bare comma-separated
-values when the header declares format=csv. Constants documents are a
+values when the header declares format=csv. Rows are parsed line by
+line, then validated once, together, when the RunRecord is built; the
+writer writes from the record's columns. Constants documents are a
 single JSON object. Counts are serialized in plain decimal; fitted
 constants in scientific notation with enough digits to round-trip
 bit-identically. File writes go through a temp file and rename, so a
@@ -26,11 +28,9 @@ from .laws import ScalingConstants
 from .records import (
     SPLITS,
     RunRecord,
-    TrajectorySample,
     WarmupTrim,
     downsample_run,
     ema_smooth,
-    sort_samples,
     trim_warmup,
 )
 
@@ -115,60 +115,65 @@ def write_run_log(run: RunRecord, target, fmt: str = "jsonl") -> None:
         "context_length": _decimal(run.context_length),
         "dataset_tag": run.dataset_tag,
     }
+    # Python floats: under numpy 2 the repr of a numpy scalar is not a number
+    columns = [run.samples[name].tolist() for name in _ROW_FIELDS]
     with _open_out(target) as out:
         out.write(json.dumps(header) + "\n")
-        for s in sort_samples(run.samples):
+        for step, tokens, loss, split in zip(*columns):
             if fmt == "jsonl":
                 row = {
-                    "step": _decimal(s.step),
-                    "tokens": _decimal(s.tokens),
-                    "loss": float(s.loss),
-                    "split": s.split,
+                    "step": _decimal(step),
+                    "tokens": _decimal(tokens),
+                    "loss": loss,
+                    "split": split,
                 }
                 out.write(json.dumps(row) + "\n")
             else:
-                out.write(f"{_decimal(s.step)},{_decimal(s.tokens)},{float(s.loss)!r},{s.split}\n")
+                out.write(f"{_decimal(step)},{_decimal(tokens)},{loss!r},{split}\n")
 
 
-def _parse_row_jsonl(text: str, line_no: int) -> TrajectorySample:
+def _parse_row(text: str, line_no: int, fmt: str) -> tuple:
+    """One row's syntax, as (step, tokens, loss, split); values are checked per run."""
+    if fmt == "csv":
+        fields = text.split(",")
+        if len(fields) != len(_ROW_FIELDS):
+            raise ParseError(
+                f"expected {len(_ROW_FIELDS)} comma-separated values, got {len(fields)}",
+                line=line_no,
+            )
+        fields[3] = fields[3].strip()
+    else:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"bad JSON row: {e.msg}", line=line_no) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"row must be an object, got {type(obj).__name__}", line=line_no)
+        missing = [k for k in _ROW_FIELDS if k not in obj]
+        if missing:
+            raise ParseError(f"row missing fields {missing}", line=line_no)
+        fields = [obj[k] for k in _ROW_FIELDS]
+    step, tokens, loss, split = fields
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON row: {e.msg}", line=line_no) from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"row must be an object, got {type(obj).__name__}", line=line_no)
-    missing = [k for k in _ROW_FIELDS if k not in obj]
-    if missing:
-        raise ParseError(f"row missing fields {missing}", line=line_no)
-    return _build_sample(obj["step"], obj["tokens"], obj["loss"], obj["split"], line_no)
-
-
-def _parse_row_csv(text: str, line_no: int) -> TrajectorySample:
-    parts = text.split(",")
-    if len(parts) != len(_ROW_FIELDS):
-        raise ParseError(
-            f"expected {len(_ROW_FIELDS)} comma-separated values, got {len(parts)}",
-            line=line_no,
-        )
-    return _build_sample(parts[0], parts[1], parts[2], parts[3].strip(), line_no)
-
-
-def _build_sample(step, tokens, loss, split, line_no: int) -> TrajectorySample:
-    try:
-        step = float(step)
-        tokens = float(tokens)
-        loss = float(loss)
-    except (TypeError, ValueError):
+        row = (float(step), float(tokens), float(loss), split)
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("step, tokens, and loss must be numbers", line=line_no) from None
     if split not in SPLITS:
         raise ParseError(f"unknown split {split!r}", line=line_no)
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"line {line_no}: step must be positive, got {step!r}")
-    if not (math.isfinite(loss) and loss > 0):
-        raise ValidationError(f"line {line_no}: loss must be positive, got {loss!r}")
-    if not (math.isfinite(tokens) and tokens > 0):
-        raise ValidationError(f"line {line_no}: tokens must be positive, got {tokens!r}")
-    return TrajectorySample(step, tokens, loss, split)
+    return row
+
+
+def _header_count(header: dict, name: str, integral: bool = False):
+    """A header count: a finite JSON number, never a bool or a string."""
+    value = header[name]
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond any float
+        ok = False
+    # an integer field is never truncated
+    if not ok or (integral and not float(value).is_integer()):
+        raise ParseError(f"bad header field {name}: {value!r}", line=1)
+    return int(value) if integral else float(value)
 
 
 def read_run_log(source) -> RunRecord:
@@ -185,7 +190,7 @@ def read_run_log(source) -> RunRecord:
         FormatVersionError: unknown schema version.
         ValidationError: structurally valid rows that break run
             invariants (decreasing or duplicate steps, bad values,
-            token/step inconsistency).
+            token/step inconsistency), naming the offending lines.
     """
     with _open_in(source) as handle:
         header_text = handle.readline()
@@ -206,45 +211,21 @@ def read_run_log(source) -> RunRecord:
         fmt = header.get("format", "jsonl")
         if fmt not in RUN_FORMATS:
             raise ParseError(f"unknown run-log format {fmt!r}", line=1)
-        parse_row = _parse_row_jsonl if fmt == "jsonl" else _parse_row_csv
-
-        samples = []
-        last_step: dict[str, tuple[float, int]] = {}
+        rows, lines = [], []
         for line_no, text in enumerate(handle, start=2):
-            if not text.strip():
-                continue
-            sample = parse_row(text, line_no)
-            prev = last_step.get(sample.split)
-            if prev is not None:
-                prev_step, prev_line = prev
-                if sample.step == prev_step:
-                    raise ValidationError(
-                        f"line {line_no}: duplicate step {sample.step!r} in split "
-                        f"{sample.split!r} (also line {prev_line})"
-                    )
-                if sample.step < prev_step:
-                    raise ValidationError(
-                        f"line {line_no}: decreasing step {sample.step!r} in split "
-                        f"{sample.split!r} after {prev_step!r} (line {prev_line})"
-                    )
-            last_step[sample.split] = (sample.step, line_no)
-            samples.append(sample)
+            if text.strip():
+                rows.append(_parse_row(text, line_no, fmt))
+                lines.append(line_no)
 
-    if not samples:
-        raise ValidationError(f"run {header['run_id']!r} has no sample rows")
-    try:
-        return RunRecord(
-            run_id=str(header["run_id"]),
-            n_params=float(header["n_params"]),
-            batch_tokens=float(header["batch_tokens"]),
-            context_length=int(header["context_length"]),
-            dataset_tag=str(header["dataset_tag"]),
-            samples=sort_samples(samples),
-        )
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ValidationError):
-            raise
-        raise ParseError(f"bad header field: {e}", line=1) from None
+    return RunRecord(
+        run_id=str(header["run_id"]),
+        n_params=_header_count(header, "n_params"),
+        batch_tokens=_header_count(header, "batch_tokens"),
+        context_length=_header_count(header, "context_length", integral=True),
+        dataset_tag=str(header["dataset_tag"]),
+        samples=rows,
+        row_names=lambda i: f"line {lines[i]}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Containers for training-run data and basic reshaping of it.
 
-A run is a sequence of logged samples at constant batch size. Train and
-test splits may be logged at the same steps, so monotonicity of steps is
-enforced per split, not across the whole sample list.
+A run is a sequence of logged samples at constant batch size, held as
+one columnar store: a numpy structured array (step, tokens, loss, split)
+in canonical order, by step with train before test. Both splits may log
+the same steps, so steps must increase within each split only. Rows are
+validated once, when a RunRecord is built; reshaping slices the store.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -20,15 +23,9 @@ SPLITS = ("train", "test")
 # relative slack
 TOKEN_RTOL = 1e-3
 
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One logged point of a training run."""
-
-    step: float
-    tokens: float
-    loss: float
-    split: str = "train"
+# split is an object field: a fixed-width string field would truncate an
+# unknown name such as "trainee" into a known one
+SAMPLE_DTYPE = np.dtype([("step", float), ("tokens", float), ("loss", float), ("split", object)])
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,11 @@ class RunRecord:
         batch_tokens: tokens per optimization step.
         context_length: sequence length used for training.
         dataset_tag: short name of the training corpus.
-        samples: logged points; steps strictly increasing within each split.
+        samples: (step, tokens, loss, split) rows, a SAMPLE_DTYPE array
+            or a sequence of tuples; steps strictly increasing within each
+            split. Stored read-only, as SAMPLE_DTYPE, in canonical order.
+        row_names: how errors name row i of the given samples ("sample
+            i" by default); the log reader names file lines.
     """
 
     run_id: str
@@ -63,61 +64,87 @@ class RunRecord:
     batch_tokens: float
     context_length: int
     dataset_tag: str
-    samples: list[TrajectorySample] = field(default_factory=list)
+    samples: np.ndarray = ()
+    row_names: InitVar[Callable[[int], str] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, row_names):
         if not self.run_id:
             raise ValidationError("run_id must be a non-empty string")
         for name in ("n_params", "batch_tokens", "context_length"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive, got {v!r}")
-        if not self.samples:
-            raise ValidationError(f"run {self.run_id!r} has no samples")
-        last_step = {}
-        for i, s in enumerate(self.samples):
-            if s.split not in SPLITS:
-                raise ValidationError(f"sample {i}: unknown split {s.split!r}")
-            if not (math.isfinite(s.step) and s.step > 0):
-                raise ValidationError(f"sample {i}: step must be positive, got {s.step!r}")
-            if not (math.isfinite(s.loss) and s.loss > 0):
-                raise ValidationError(f"sample {i}: loss must be positive, got {s.loss!r}")
-            expected = s.step * self.batch_tokens
-            if not math.isfinite(s.tokens) or abs(s.tokens - expected) > TOKEN_RTOL * expected:
-                raise ValidationError(
-                    f"sample {i}: tokens {s.tokens!r} inconsistent with "
-                    f"step {s.step!r} at batch {self.batch_tokens!r}"
-                )
-            prev = last_step.get(s.split)
-            if prev is not None:
-                if s.step == prev:
-                    raise ValidationError(f"sample {i}: duplicate step {s.step!r} in split {s.split!r}")
-                if s.step < prev:
-                    raise ValidationError(f"sample {i}: decreasing step {s.step!r} in split {s.split!r}")
-            last_step[s.split] = s.step
+        self.samples = _canonical_samples(self, row_names or (lambda i: f"sample {i}"))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunRecord):
+            return NotImplemented
+        # the sample store compares column by column, like every other field
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     def splits(self) -> tuple[str, ...]:
         """Splits present in this run, in SPLITS order."""
-        present = {s.split for s in self.samples}
+        present = set(self.samples["split"])
         return tuple(name for name in SPLITS if name in present)
 
     def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (steps, tokens, losses) arrays for one split, in step order."""
-        picked = [s for s in self.samples if s.split == split]
-        if not picked:
+        rows = self.samples["split"] == split
+        if not rows.any():
             raise ValidationError(f"run {self.run_id!r} has no {split!r} samples")
-        steps = np.array([s.step for s in picked], dtype=float)
-        tokens = np.array([s.tokens for s in picked], dtype=float)
-        losses = np.array([s.loss for s in picked], dtype=float)
-        return steps, tokens, losses
+        return tuple(self.samples[name][rows] for name in ("step", "tokens", "loss"))
 
     def final_step(self) -> float:
-        return max(s.step for s in self.samples)
+        # canonical order sorts by step, so the last row holds the largest
+        return float(self.samples["step"][-1])
 
 
-def sort_samples(samples: list[TrajectorySample]) -> list[TrajectorySample]:
-    """Canonical sample order: by step, train before test at equal steps."""
-    return sorted(samples, key=lambda s: (s.step, SPLITS.index(s.split)))
+def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.ndarray:
+    """Check a run's rows and return them in canonical order.
+
+    The one place that checks row values, per-split step order and
+    token/step consistency. Reports the first rule broken, at its first row.
+    """
+    samples = np.asarray(run.samples, dtype=SAMPLE_DTYPE)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValidationError(f"run {run.run_id!r} has no sample rows")
+    step, tokens, loss, split = (samples[name] for name in SAMPLE_DTYPE.names)
+    code = np.full(samples.size, -1, dtype=np.int8)
+    for k, name in enumerate(SPLITS):
+        code[split == name] = k
+    # each row's predecessor within its split, in the order given; -1 if none
+    grouped = np.argsort(code, kind="stable")
+    prev = np.full(samples.size, -1)
+    prev[grouped[1:]] = np.where(code[grouped[1:]] == code[grouped[:-1]], grouped[:-1], -1)
+
+    def order_fault(i):
+        where = f"step {float(step[i])!r} in split {split[i]!r}"
+        if step[i] == step[prev[i]]:
+            return f"duplicate {where} (also {row_name(prev[i])})"
+        return f"decreasing {where} after {float(step[prev[i]])!r} ({row_name(prev[i])})"
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = step * run.batch_tokens
+        rules = (
+            (code < 0, lambda i: f"unknown split {split[i]!r}"),
+            (~(np.isfinite(step) & (step > 0)),
+             lambda i: f"step must be positive, got {float(step[i])!r}"),
+            (~(np.isfinite(loss) & (loss > 0)),
+             lambda i: f"loss must be positive, got {float(loss[i])!r}"),
+            (~(np.abs(tokens - expected) <= TOKEN_RTOL * expected),
+             lambda i: f"tokens {float(tokens[i])!r} inconsistent with "
+                       f"step {float(step[i])!r} at batch {run.batch_tokens!r}"),
+            ((prev >= 0) & (step <= step[prev]), order_fault),
+        )
+    for broken, fault in rules:
+        rows = np.flatnonzero(broken)
+        if rows.size:
+            raise ValidationError(f"{row_name(rows[0])}: {fault(rows[0])}")
+    samples = samples[np.lexsort((code, step))]
+    samples.flags.writeable = False
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +182,13 @@ def trim_warmup(run: RunRecord, trim: WarmupTrim = WarmupTrim()) -> RunRecord:
         ValidationError: if the rule would remove every sample.
     """
     cutoff = trim.threshold(run.final_step())
-    kept = [s for s in run.samples if s.step >= cutoff]
-    if not kept:
+    # rows are sorted by step, so the kept ones are a tail of the store
+    first = int(np.searchsorted(run.samples["step"], cutoff))
+    if first == len(run.samples):
         raise ValidationError(f"warm-up trim removed every sample of run {run.run_id!r}")
-    if len(kept) == len(run.samples):
+    if first == 0:
         return run
-    return replace(run, samples=kept)
+    return replace(run, samples=run.samples[first:])
 
 
 def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
@@ -174,7 +202,7 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
     """
     if not (math.isfinite(half_life) and half_life > 0):
         raise ValidationError(f"half_life must be positive, got {half_life!r}")
-    smoothed = {}
+    samples = run.samples.copy()
     for split in run.splits():
         steps, _, losses = run.split_arrays(split)
         out = np.empty_like(losses)
@@ -182,8 +210,7 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
         decay = np.exp2(-np.diff(steps) / half_life)
         for i in range(1, losses.size):
             out[i] = decay[i - 1] * out[i - 1] + (1.0 - decay[i - 1]) * losses[i]
-        smoothed[split] = dict(zip(steps, out))
-    samples = [replace(s, loss=float(smoothed[s.split][s.step])) for s in run.samples]
+        samples["loss"][samples["split"] == split] = out
     return replace(run, samples=samples)
 
 
@@ -193,10 +220,7 @@ def downsample_run(run: RunRecord, stride: int) -> RunRecord:
         raise ValidationError(f"stride must be a positive integer, got {stride!r}")
     if stride == 1:
         return run
-    kept = []
-    index = {split: 0 for split in SPLITS}
-    for s in run.samples:
-        if index[s.split] % stride == 0:
-            kept.append(s)
-        index[s.split] += 1
-    return replace(run, samples=kept)
+    kept = np.zeros(len(run.samples), dtype=bool)
+    for split in SPLITS:
+        kept[np.flatnonzero(run.samples["split"] == split)[::stride]] = True
+    return replace(run, samples=run.samples[kept])

@@ -2,7 +2,7 @@
 
 Every generator is deterministic given its noise seed, and independent
 sub-streams keep runs generated one at a time identical to runs
-generated in a batch.
+generated in a batch. Runs are built as columns, then validated once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .laws import ScalingConstants, loss_at_convergence, solve_loss
-from .records import ConvergedRun, RunRecord, TrajectorySample, sort_samples
+from .records import SAMPLE_DTYPE, SPLITS, ConvergedRun, RunRecord
 
 NOISE_KINDS = ("none", "multiplicative-lognormal")
 
@@ -90,18 +90,19 @@ def _step_grid(num_steps: int, log_every: int) -> np.ndarray:
 
 def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
     tag, context = _run_meta(c)
-    samples = []
-    for step, loss in zip(steps, losses):
-        tokens = float(step) * batch_tokens
-        for split in ("train", "test"):
-            samples.append(TrajectorySample(float(step), tokens, float(loss), split))
+    # canonical order: every step's train row, then its identical test row
+    samples = np.empty(2 * steps.size, dtype=SAMPLE_DTYPE)
+    samples["step"] = np.repeat(steps, 2)
+    samples["tokens"] = np.repeat(steps * float(batch_tokens), 2)
+    samples["loss"] = np.repeat(losses, 2)
+    samples["split"] = SPLITS * steps.size
     return RunRecord(
         run_id=run_id,
         n_params=float(n),
         batch_tokens=float(batch_tokens),
         context_length=context,
         dataset_tag=tag,
-        samples=sort_samples(samples),
+        samples=samples,
     )
 
 

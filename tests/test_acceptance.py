@@ -20,7 +20,6 @@ from scalinglaws import (
     RunRecord,
     ScalingConstants,
     ScalingLawError,
-    TrajectorySample,
     budget_exponent,
     critical_batch,
     extract_contours,
@@ -353,7 +352,7 @@ def test_simulate_fit_format_closure(capfd, tmp_path):
     batch = 123456.789
 
     def sample(step, loss, split):
-        return TrajectorySample(step=step, tokens=step * batch, loss=loss, split=split)
+        return (step, step * batch, loss, split)
 
     run = RunRecord(
         run_id="awkward/run:1",

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output shapes, file closure."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -245,6 +247,24 @@ class TestScanAndDiagnose:
         assert b_star == pytest.approx(C4.b_star, rel=0.10)
         header = (scan_dir / "contours.csv").read_text().splitlines()[0]
         assert header == "loss_target,s_min,e_min,b_crit,points,residual_rms"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_scan_rows_on_stdout_parse(self, scan_dir, capsys, fmt):
+        argv = ["scan", "--format", fmt]
+        for p in sorted(scan_dir.glob("scan-*.jsonl")):
+            argv += ["--scan-log", str(p)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        fields = ["loss_target", "s_min", "e_min", "b_crit", "points", "residual_rms"]
+        if fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(captured.out)))
+            assert rows and all(list(r) == fields and None not in r.values() for r in rows)
+        else:
+            rows = [json.loads(line) for line in captured.out.splitlines()]
+            assert rows and all(list(r) == fields for r in rows)
+        assert all(np.isfinite(float(v)) for r in rows for v in r.values())
+        # the fitted law is still reported, on stderr
+        assert "b_star:" in captured.err and "alpha_b:" in captured.err
 
     def test_diagnose_single_log_gap(self, constants_path, tmp_path, capsys):
         out = tmp_path / "run.jsonl"

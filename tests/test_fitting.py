@@ -14,7 +14,6 @@ from scalinglaws import (
     InsufficientDataError,
     RunRecord,
     ScalingLawWarning,
-    TrajectorySample,
     ValidationError,
     WarmupTrim,
     critical_batch,
@@ -47,7 +46,7 @@ def simple_run(steps, losses, batch=1e6, run_id="r0", n_params=1e7):
     samples = []
     for s, l in zip(steps, losses):
         for split in ("train", "test"):
-            samples.append(TrajectorySample(float(s), float(s) * batch, float(l), split))
+            samples.append((float(s), float(s) * batch, float(l), split))
     return RunRecord(
         run_id=run_id, n_params=n_params, batch_tokens=batch,
         context_length=1024, dataset_tag="c4", samples=samples,
@@ -284,8 +283,8 @@ class TestDiagnostics:
     def test_gap_above_threshold_flags_bounded_data(self):
         samples = []
         for step in (200.0, 400.0, 800.0):
-            samples.append(TrajectorySample(step, step * 1e6, 3.0, "train"))
-            samples.append(TrajectorySample(step, step * 1e6, 3.05, "test"))
+            samples.append((step, step * 1e6, 3.0, "train"))
+            samples.append((step, step * 1e6, 3.05, "test"))
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
             context_length=1024, dataset_tag="c4", samples=samples,
@@ -297,9 +296,9 @@ class TestDiagnostics:
     def test_interpolates_offset_grids(self):
         samples = []
         for step in (200.0, 400.0, 800.0):
-            samples.append(TrajectorySample(step, step * 1e6, 3.0, "train"))
+            samples.append((step, step * 1e6, 3.0, "train"))
         for step in (150.0, 300.0, 900.0):
-            samples.append(TrajectorySample(step, step * 1e6, 3.0, "test"))
+            samples.append((step, step * 1e6, 3.0, "test"))
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
             context_length=1024, dataset_tag="c4", samples=samples,
@@ -308,7 +307,7 @@ class TestDiagnostics:
         assert verdict.data_unbounded
 
     def test_missing_split_is_diagnostic_error(self):
-        samples = [TrajectorySample(200.0, 2e8, 3.0, "train")]
+        samples = [(200.0, 2e8, 3.0, "train")]
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
             context_length=1024, dataset_tag="c4", samples=samples,

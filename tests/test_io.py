@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalinglaws import (
     C4_CONSTANTS,
@@ -13,7 +15,6 @@ from scalinglaws import (
     ParseError,
     RunRecord,
     ScalingLawWarning,
-    TrajectorySample,
     ValidationError,
     WarmupTrim,
     document_from_report,
@@ -32,6 +33,7 @@ from scalinglaws import (
     write_constants,
     write_run_log,
 )
+from scalinglaws.records import TOKEN_RTOL
 
 C4 = C4_CONSTANTS
 
@@ -43,7 +45,7 @@ def awkward_run():
     for step, loss in [(100.5, 2.684193150679535), (200.25, 2.5606071335510348),
                        (333.0, 2.47390452915212)]:
         for split in ("train", "test"):
-            samples.append(TrajectorySample(step, step * batch, loss, split))
+            samples.append((step, step * batch, loss, split))
     return RunRecord(
         run_id="awkward/run:1", n_params=1.23e7, batch_tokens=batch,
         context_length=2048, dataset_tag="c4-variant", samples=samples,
@@ -76,26 +78,22 @@ class TestRunLogRoundTrip:
         assert back.context_length == run.context_length
         assert back.dataset_tag == run.dataset_tag
         assert len(back.samples) == len(run.samples)
-        for ours, theirs in zip(run.samples, back.samples):
-            assert ours.step == theirs.step
-            assert ours.tokens == theirs.tokens
-            assert ours.loss == theirs.loss
-            assert ours.split == theirs.split
+        for column in ("step", "tokens", "loss", "split"):
+            assert back.samples[column].tolist() == run.samples[column].tolist()
 
     def test_synthetic_round_trip(self, tmp_path):
         run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=500, log_every=50)
         path = tmp_path / "run.jsonl"
         write_run_log(run, path)
         back = read_run_log(path)
-        for ours, theirs in zip(run.samples, back.samples):
-            assert ours == theirs
+        assert back.samples.tolist() == run.samples.tolist()
 
     def test_stream_round_trip(self):
         run = awkward_run()
         buf = io.StringIO()
         write_run_log(run, buf, fmt="csv")
         back = read_run_log(io.StringIO(buf.getvalue()))
-        assert back.samples == run.samples
+        assert back.samples.tolist() == run.samples.tolist()
 
     def test_stdout_target(self, capsys):
         run = awkward_run()
@@ -234,15 +232,93 @@ class TestRunLogErrors:
         with pytest.raises(ValidationError, match="no sample rows"):
             read_run_log(io.StringIO(header_line() + "\n"))
 
-    def test_bad_header_value_type(self):
-        text = header_line(n_params="lots") + "\n" + row_line(100, 3.0) + "\n"
-        with pytest.raises(ParseError, match="bad header field"):
+    @pytest.mark.parametrize("field,value", [
+        ("n_params", "lots"),
+        ("n_params", True),
+        ("context_length", 1024.5),
+        ("context_length", True),
+        ("context_length", "7"),
+        pytest.param("context_length", 10**400, id="context_length-huge"),
+        ("batch_tokens", float("inf")),
+    ])
+    def test_bad_header_value_type(self, field, value):
+        # counts are JSON numbers, never coerced from bools or strings
+        text = header_line(**{field: value}) + "\n" + row_line(100, 3.0) + "\n"
+        with pytest.raises(ParseError, match="bad header field") as err:
             read_run_log(io.StringIO(text))
+        assert err.value.line == 1
+
+    def test_integral_float_context_length_accepted(self):
+        text = header_line(context_length=2048.0) + "\n" + row_line(100, 3.0) + "\n"
+        assert read_run_log(io.StringIO(text)).context_length == 2048
 
     def test_token_inconsistency_caught(self):
         text = header_line() + "\n" + row_line(100, 3.0, tokens=5e9) + "\n"
         with pytest.raises(ValidationError, match="inconsistent"):
             read_run_log(io.StringIO(text))
+
+
+# steps both integral and fractional, so both ways of writing a count occur
+steps_st = st.one_of(st.integers(1, 10**7).map(float), st.floats(1e-2, 1e7))
+
+
+@st.composite
+def valid_runs(draw):
+    """Runs with an odd batch, one or both splits, and tokens anywhere
+    inside the slack around step * batch."""
+    batch = draw(st.floats(1.0, 1e9))
+    rows = []
+    for split in draw(st.sampled_from([("train",), ("test",), ("train", "test")])):
+        for step in sorted(draw(st.lists(steps_st, min_size=1, max_size=12, unique=True))):
+            slack = draw(st.floats(-0.5, 0.5)) * TOKEN_RTOL
+            rows.append((step, step * batch * (1.0 + slack), draw(st.floats(1e-3, 1e3)), split))
+    return RunRecord(
+        run_id=draw(st.text(min_size=1, max_size=8)),
+        n_params=draw(st.floats(1.0, 1e12)),
+        batch_tokens=batch,
+        context_length=draw(st.integers(1, 1 << 20)),
+        dataset_tag=draw(st.text(max_size=8)),
+        samples=rows,
+    )
+
+
+# integers reach past the float range, which float() cannot convert
+row_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400), st.floats(),
+    st.text(max_size=6), st.sampled_from(["train", "test"]),
+)
+row_fields = ["step", "tokens", "loss", "split"]
+fuzzed_lines = st.one_of(
+    st.fixed_dictionaries({k: row_values for k in row_fields}).map(json.dumps),
+    st.dictionaries(st.sampled_from(row_fields), row_values).map(json.dumps),
+    st.lists(row_values.map(str), min_size=4, max_size=4).map(",".join),
+    st.lists(row_values.map(str), max_size=5).map(",".join),
+    st.text(max_size=30),
+)
+
+
+class TestRunLogProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(run=valid_runs())
+    def test_write_read_round_trip(self, run):
+        for fmt in ("jsonl", "csv"):
+            written = io.StringIO()
+            write_run_log(run, written, fmt=fmt)
+            back = read_run_log(io.StringIO(written.getvalue()))
+            assert back == run
+            again = io.StringIO()
+            write_run_log(back, again, fmt=fmt)
+            assert again.getvalue() == written.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(fmt=st.sampled_from(["jsonl", "csv"]), lines=st.lists(fuzzed_lines, max_size=6))
+    @example(fmt="jsonl", lines=[row_line(10**400, 3.0, tokens=1e8)])
+    def test_fuzzed_rows_raise_only_format_errors(self, fmt, lines):
+        text = header_line(format=fmt) + "\n" + "\n".join(lines) + "\n"
+        try:
+            read_run_log(io.StringIO(text))
+        except (ParseError, ValidationError, FormatVersionError):
+            pass
 
 
 class TestConstantsDocuments:
@@ -359,7 +435,7 @@ class TestPreprocess:
             ema_smooth(trim_warmup(run, WarmupTrim()), 200.0), 3
         )
         auto = preprocess(run, smooth_half_life=200.0, downsample=3)
-        assert auto.samples == manual.samples
+        assert auto.samples.tolist() == manual.samples.tolist()
 
     def test_identity_options(self):
         run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=500, log_every=50)

@@ -2,24 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalinglaws import (
     RunRecord,
-    TrajectorySample,
     ValidationError,
     WarmupTrim,
     downsample_run,
     ema_smooth,
-    sort_samples,
     trim_warmup,
 )
 
 
 def make_run(steps, losses, batch=1e6, split="train", **kwargs):
-    samples = [
-        TrajectorySample(step=s, tokens=s * batch, loss=l, split=split)
-        for s, l in zip(steps, losses)
-    ]
+    samples = [(s, s * batch, l, split) for s, l in zip(steps, losses)]
     defaults = dict(
         run_id="r0", n_params=1e7, batch_tokens=batch,
         context_length=1024, dataset_tag="c4",
@@ -28,10 +25,18 @@ def make_run(steps, losses, batch=1e6, split="train", **kwargs):
     return RunRecord(samples=samples, **defaults)
 
 
+def row(step, tokens, loss, split="train"):
+    return (step, tokens, loss, split)
+
+
 class TestSampleValidation:
     def test_accepts_valid(self):
-        s = TrajectorySample(step=10.0, tokens=1e7, loss=3.5)
-        assert s.split == "train"
+        run = RunRecord(
+            run_id="r0", n_params=1e7, batch_tokens=1e6,
+            context_length=1024, dataset_tag="c4",
+            samples=[row(step=10.0, tokens=1e7, loss=3.5)],
+        )
+        assert run.samples["split"][0] == "train"
 
     @pytest.mark.parametrize("kwargs", [
         dict(step=0.0, tokens=0.0, loss=3.5),
@@ -46,7 +51,7 @@ class TestSampleValidation:
             RunRecord(
                 run_id="r0", n_params=1e7, batch_tokens=1e6,
                 context_length=1024, dataset_tag="c4",
-                samples=[TrajectorySample(**kwargs)],
+                samples=[row(**kwargs)],
             )
 
 
@@ -61,8 +66,8 @@ class TestRunValidation:
 
     def test_same_step_across_splits_allowed(self):
         samples = [
-            TrajectorySample(step=100.0, tokens=1e8, loss=3.0, split="train"),
-            TrajectorySample(step=100.0, tokens=1e8, loss=3.1, split="test"),
+            row(step=100.0, tokens=1e8, loss=3.0, split="train"),
+            row(step=100.0, tokens=1e8, loss=3.1, split="test"),
         ]
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
@@ -71,7 +76,7 @@ class TestRunValidation:
         assert run.splits() == ("train", "test")
 
     def test_token_consistency(self):
-        samples = [TrajectorySample(step=100.0, tokens=2e8, loss=3.0)]
+        samples = [row(step=100.0, tokens=2e8, loss=3.0)]
         with pytest.raises(ValidationError, match="tokens"):
             RunRecord(
                 run_id="r0", n_params=1e7, batch_tokens=1e6,
@@ -80,7 +85,7 @@ class TestRunValidation:
 
     def test_token_slack_within_tolerance(self):
         # 0.05% off the exact product is accepted
-        samples = [TrajectorySample(step=100.0, tokens=1e8 * 1.0005, loss=3.0)]
+        samples = [row(step=100.0, tokens=1e8 * 1.0005, loss=3.0)]
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
             context_length=1024, dataset_tag="c4", samples=samples,
@@ -119,17 +124,46 @@ class TestSplitArrays:
             run.split_arrays("dev")
 
 
-class TestSortSamples:
+class TestCanonicalOrder:
     def test_orders_by_step_then_split(self):
         rows = [
-            TrajectorySample(step=200.0, tokens=2e8, loss=2.8, split="test"),
-            TrajectorySample(step=100.0, tokens=1e8, loss=3.1, split="test"),
-            TrajectorySample(step=100.0, tokens=1e8, loss=3.0, split="train"),
+            row(step=200.0, tokens=2e8, loss=2.8, split="test"),
+            row(step=100.0, tokens=1e8, loss=3.1, split="test"),
+            row(step=100.0, tokens=1e8, loss=3.0, split="train"),
         ]
-        ordered = sort_samples(rows)
-        assert [(s.step, s.split) for s in ordered] == [
+        header = dict(
+            run_id="r0", n_params=1e7, batch_tokens=1e6,
+            context_length=1024, dataset_tag="c4",
+        )
+        # steps must increase within a split in the order given
+        with pytest.raises(ValidationError, match="decreasing step"):
+            RunRecord(samples=rows, **header)
+        # splits interleaved any other way are stored in canonical order
+        run = RunRecord(samples=[rows[1], rows[0], rows[2]], **header)
+        assert list(zip(run.samples["step"], run.samples["split"])) == [
             (100.0, "train"), (100.0, "test"), (200.0, "test"),
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.tuples(*[st.lists(st.floats(1e-2, 1e6), min_size=1, max_size=10, unique=True)] * 2),
+        data=st.data(),
+    )
+    def test_any_interleaving_builds_the_same_record(self, steps, data):
+        rows = {
+            split: [(s, s * 1e6, 1.0 + 1.0 / s, split) for s in sorted(split_steps)]
+            for split, split_steps in zip(("train", "test"), steps)
+        }
+        picks = data.draw(st.permutations([k for k, v in rows.items() for _ in v]))
+        pending = {k: iter(v) for k, v in rows.items()}
+        mixed = [next(pending[k]) for k in picks]
+        header = dict(
+            run_id="r0", n_params=1e7, batch_tokens=1e6,
+            context_length=1024, dataset_tag="c4",
+        )
+        assert RunRecord(samples=mixed, **header) == RunRecord(
+            samples=rows["train"] + rows["test"], **header
+        )
 
 
 class TestWarmupTrim:
@@ -174,9 +208,9 @@ class TestEmaSmooth:
 
     def test_smooths_each_split_separately(self):
         samples = [
-            TrajectorySample(step=100.0, tokens=1e8, loss=4.0, split="train"),
-            TrajectorySample(step=100.0, tokens=1e8, loss=10.0, split="test"),
-            TrajectorySample(step=200.0, tokens=2e8, loss=2.0, split="train"),
+            row(step=100.0, tokens=1e8, loss=4.0, split="train"),
+            row(step=100.0, tokens=1e8, loss=10.0, split="test"),
+            row(step=200.0, tokens=2e8, loss=2.0, split="train"),
         ]
         run = RunRecord(
             run_id="r0", n_params=1e7, batch_tokens=1e6,
