@@ -28,7 +28,6 @@ from .fitting import (
 from .io import (
     _open_out,
     document_from_report,
-    preprocess,
     read_constants,
     read_run_log,
     write_constants,
@@ -42,7 +41,7 @@ from .planning import (
     predict_trajectory,
     recommend_batch,
 )
-from .records import WarmupTrim
+from .records import WarmupTrim, ema_smooth, trim_warmup
 from .synthetic import NoiseSpec, WarmupSpec, gen_batch_scan, gen_converged_log, gen_trajectory
 
 FORMATS = ("table", "csv", "jsonl")
@@ -144,13 +143,15 @@ def cmd_fit(args) -> int:
         ("s_c", report.s_c),
         ("b_star", report.b_star if report.b_star is not None else "-"),
     ]
-    _emit_rows(("constant", "value"), rows, "table", sys.stdout)
-    print(f"converged-stage r_squared: {report.converged_stage.r_squared:.8f}")
-    print(f"step-stage r_squared: {report.step_stage.r_squared:.8f}")
+    # with the document on stdout, stdout must parse, so the table goes to stderr
+    prose = sys.stderr if args.out == "-" else sys.stdout
+    _emit_rows(("constant", "value"), rows, "table", prose)
+    print(f"converged-stage r_squared: {report.converged_stage.r_squared:.8f}", file=prose)
+    print(f"step-stage r_squared: {report.step_stage.r_squared:.8f}", file=prose)
     if report.batch_stage is not None:
-        print(f"batch-stage r_squared: {report.batch_stage.r_squared:.8f}")
-        print(f"contours fitted: {len(report.contours)}")
-    print(f"complete: {'yes' if report.complete else 'no'}")
+        print(f"batch-stage r_squared: {report.batch_stage.r_squared:.8f}", file=prose)
+        print(f"contours fitted: {len(report.contours)}", file=prose)
+    print(f"complete: {'yes' if report.complete else 'no'}", file=prose)
     if args.out:
         write_constants(document_from_report(report), args.out)
     return 0
@@ -197,10 +198,9 @@ def cmd_plan(args) -> int:
 
 def cmd_scan(args) -> int:
     trim = _trim_from(args)
-    runs = [
-        preprocess(read_run_log(path), trim=trim, smooth_half_life=args.smooth_half_life)
-        for path in args.scan_log
-    ]
+    runs = [trim_warmup(read_run_log(path), trim) for path in args.scan_log]
+    if args.smooth_half_life is not None:
+        runs = [ema_smooth(run, args.smooth_half_life) for run in runs]
     runs.sort(key=lambda r: r.batch_tokens)
     if args.targets:
         targets = _parse_float_list(args.targets, "--targets")
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--refine", action="store_true", help="refine the batch law fit")
     fit.add_argument("--no-post-correct", action="store_true",
                      help="skip the analytic batch-law post-correction")
-    fit.add_argument("--out", default=None, help="write the constants document here")
+    fit.add_argument("--out", default=None, help="write the constants document here, - for stdout")
     _add_trim_flags(fit)
     fit.set_defaults(func=cmd_fit)
 

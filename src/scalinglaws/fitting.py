@@ -31,10 +31,14 @@ from .errors import (
     ScalingLawWarning,
     ValidationError,
 )
-from .laws import ScalingConstants, loss_at_convergence
+from .laws import (
+    CONSTANT_NAMES,
+    EXPONENT_LIMIT,
+    ScalingConstants,
+    loss_at_convergence,
+    positive_real,
+)
 from .records import ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
-
-_EXPONENT_RANGE = (0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ class FitOptions:
             both ends when selecting targets automatically.
         refine_batch_law: run the Gauss-Newton refinement of stage 4.
         post_correct: refit the batch law on pooled analytic pairs.
-        meta: extra provenance merged into the fitted constants' meta.
+        meta: extra provenance merged into the report's meta.
     """
 
     trim: WarmupTrim = field(default_factory=WarmupTrim)
@@ -149,28 +153,38 @@ class FitOptions:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FitReport:
     """Everything fit_full_pipeline learned.
 
-    ``constants`` is None when the scan stage could not run; the
-    stage-1/2 values are still present individually.
+    The batch law and its stages are None when the scan stage could not
+    run; the stage-1/2 values are present either way.
     """
 
     n_c: float
     alpha_n: float
     s_c: float
     alpha_s: float
-    b_star: float | None
-    alpha_b: float | None
-    constants: ScalingConstants | None
+    b_star: float | None = None
+    alpha_b: float | None = None
+    meta: dict
     converged_stage: StageFit
     step_stage: StageFit
-    contours: list[ContourFit]
-    batch_stage: StageFit | None
-    post_correction: PostCorrection | None
-    complete: bool
-    warnings: list[str]
+    contours: list[ContourFit] = field(default_factory=list)
+    batch_stage: StageFit | None = None
+    post_correction: PostCorrection | None = None
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def complete(self) -> bool:
+        return self.b_star is not None and self.alpha_b is not None
+
+    @property
+    def constants(self) -> ScalingConstants | None:
+        """The six values as ScalingConstants, None for a partial fit."""
+        if not self.complete:
+            return None
+        return ScalingConstants(**{k: getattr(self, k) for k in CONSTANT_NAMES}, meta=self.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +223,9 @@ def _power_law_from_logs(stage: StageFit, what: str) -> PowerLawFit:
     intercept = exponent * ln(scale).
     """
     exponent = -stage.slope
-    if not _EXPONENT_RANGE[0] < exponent < _EXPONENT_RANGE[1]:
-        raise FitFailureError(
-            f"{what}: fitted exponent {exponent:.4g} outside {_EXPONENT_RANGE}"
-        )
+    positive_real(f"{what}: fitted exponent", exponent, EXPONENT_LIMIT, FitFailureError)
     scale = math.exp(stage.intercept / exponent)
-    if not (math.isfinite(scale) and scale > 0):
-        raise FitFailureError(f"{what}: fitted scale {scale!r} is not a positive number")
+    positive_real(f"{what}: fitted scale", scale, error=FitFailureError)
     return PowerLawFit(scale, exponent, stage)
 
 
@@ -533,10 +543,8 @@ def _fit_batch_pairs(losses: np.ndarray, b_crits: np.ndarray, refine: bool) -> P
             raise FitFailureError("batch-law refinement left the valid parameter region")
         alpha_b = 1.0 / inv_alpha
         b_star = math.exp(ln_b_star)
-    if not _EXPONENT_RANGE[0] < alpha_b < _EXPONENT_RANGE[1]:
-        raise FitFailureError(f"fitted alpha_b {alpha_b:.4g} outside {_EXPONENT_RANGE}")
-    if not (math.isfinite(b_star) and b_star > 0):
-        raise FitFailureError(f"fitted b_star {b_star!r} is not a positive number")
+    positive_real("fitted alpha_b", alpha_b, EXPONENT_LIMIT, FitFailureError)
+    positive_real("fitted b_star", b_star, error=FitFailureError)
     return PowerLawFit(b_star, alpha_b, stage)
 
 
@@ -764,11 +772,10 @@ def fit_full_pipeline(
         options: pipeline knobs, defaults throughout when None.
 
     Returns:
-        FitReport; ``constants`` is a full ScalingConstants exactly when
-        the scan stages ran.
+        FitReport; it is ``complete`` and its ``constants`` are a full
+        ScalingConstants exactly when the scan stages ran.
     """
     opts = options or FitOptions()
-    notes: list[str] = []
     converged = list(converged)
     scan_runs = list(scan_runs)
 
@@ -784,26 +791,21 @@ def fit_full_pipeline(
         "scan_runs": len(scan_runs),
     }
     meta.update(opts.meta)
+    # stages 3 and 4 fill in the batch law
+    report = FitReport(
+        n_c=size_fit.scale,
+        alpha_n=size_fit.exponent,
+        s_c=step_fit.scale,
+        alpha_s=step_fit.exponent,
+        meta=meta,
+        converged_stage=size_fit.stage,
+        step_stage=step_fit.stage,
+    )
     if not scan_runs:
         message = "no scan runs given; batch law not fitted"
         warnings.warn(message, ScalingLawWarning, stacklevel=2)
-        notes.append(message)
-        return FitReport(
-            n_c=size_fit.scale,
-            alpha_n=size_fit.exponent,
-            s_c=step_fit.scale,
-            alpha_s=step_fit.exponent,
-            b_star=None,
-            alpha_b=None,
-            constants=None,
-            converged_stage=size_fit.stage,
-            step_stage=step_fit.stage,
-            contours=[],
-            batch_stage=None,
-            post_correction=None,
-            complete=False,
-            warnings=notes,
-        )
+        report.warnings.append(message)
+        return report
 
     prepared = [trim_warmup(run, opts.trim) for run in scan_runs]
     if opts.smooth_half_life is not None:
@@ -817,40 +819,16 @@ def fit_full_pipeline(
     points = extract_contours(prepared, targets, split=opts.split)
     if not points:
         raise InsufficientDataError("no contour has two or more crossings")
-    contour_fits = [fit_contour(p) for p in points]
-    batch_fit = fit_critical_batch_law(contour_fits, refine=opts.refine_batch_law)
-
-    b_star, alpha_b = batch_fit.scale, batch_fit.exponent
-    post = None
+    report.contours = [fit_contour(p) for p in points]
+    batch_fit = fit_critical_batch_law(report.contours, refine=opts.refine_batch_law)
+    report.batch_stage = batch_fit.stage
+    report.b_star, report.alpha_b = batch_fit.scale, batch_fit.exponent
     if opts.post_correct:
-        candidate = ScalingConstants(
-            n_c=size_fit.scale, alpha_n=size_fit.exponent,
-            s_c=step_fit.scale, alpha_s=step_fit.exponent,
-            b_star=b_star, alpha_b=alpha_b, meta=meta,
-        )
+        # the candidate constants carry the contour-only batch law
         post = post_correct_batch_law(
-            candidate, prepared, contour_fits, split=opts.split, refine=opts.refine_batch_law
+            report.constants, prepared, report.contours,
+            split=opts.split, refine=opts.refine_batch_law,
         )
-        b_star, alpha_b = post.b_star, post.alpha_b
-
-    constants = ScalingConstants(
-        n_c=size_fit.scale, alpha_n=size_fit.exponent,
-        s_c=step_fit.scale, alpha_s=step_fit.exponent,
-        b_star=b_star, alpha_b=alpha_b, meta=meta,
-    )
-    return FitReport(
-        n_c=size_fit.scale,
-        alpha_n=size_fit.exponent,
-        s_c=step_fit.scale,
-        alpha_s=step_fit.exponent,
-        b_star=b_star,
-        alpha_b=alpha_b,
-        constants=constants,
-        converged_stage=size_fit.stage,
-        step_stage=step_fit.stage,
-        contours=contour_fits,
-        batch_stage=batch_fit.stage,
-        post_correction=post,
-        complete=True,
-        warnings=notes,
-    )
+        report.post_correction = post
+        report.b_star, report.alpha_b = post.b_star, post.alpha_b
+    return report

@@ -5,10 +5,11 @@ sample, either JSON objects (the default) or bare comma-separated
 values when the header declares format=csv. Rows are parsed line by
 line, then validated once, together, when the RunRecord is built; the
 writer writes from the record's columns. Constants documents are a
-single JSON object. Counts are serialized in plain decimal; fitted
-constants in scientific notation with enough digits to round-trip
-bit-identically. File writes go through a temp file and rename, so a
-reader never sees a half-written file.
+single JSON object, whose values ConstantsDocument checks by the same
+rules as ScalingConstants. Counts are serialized in plain decimal;
+fitted constants in scientific notation with enough digits to
+round-trip bit-identically. File writes go through a temp file and
+rename, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
@@ -22,23 +23,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatVersionError, ParseError, ValidationError
+from .errors import DomainError, FormatVersionError, ParseError, ValidationError
 from .fitting import FitReport
-from .laws import ScalingConstants
-from .records import (
-    SPLITS,
-    RunRecord,
-    WarmupTrim,
-    downsample_run,
-    ema_smooth,
-    trim_warmup,
-)
+from .laws import CONSTANT_NAMES, ScalingConstants, check_constants
+from .records import SPLITS, RunRecord
 
 SCHEMA_VERSION = 1
 RUN_FORMATS = ("jsonl", "csv")
 _HEADER_FIELDS = ("run_id", "n_params", "batch_tokens", "context_length", "dataset_tag")
 _ROW_FIELDS = ("step", "tokens", "loss", "split")
-_CONSTANT_FIELDS = ("n_c", "alpha_n", "s_c", "alpha_s", "b_star", "alpha_b")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +230,12 @@ def read_run_log(source) -> RunRecord:
 class ConstantsDocument:
     """Serializable form of fitted constants plus provenance.
 
-    b_star and alpha_b are None for partial fits (no batch scan).
+    The constants obey the same rules as ScalingConstants, except that
+    b_star and alpha_b are both None for a partial fit (no batch scan).
+
+    Raises:
+        DomainError: a constant out of range, or only one of b_star and
+            alpha_b given.
     """
 
     n_c: float
@@ -249,6 +247,12 @@ class ConstantsDocument:
     meta: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if (self.b_star is None) != (self.alpha_b is None):
+            raise DomainError("b_star and alpha_b must be both set or both null")
+        # the batch law comes last in CONSTANT_NAMES
+        check_constants(self, CONSTANT_NAMES if self.complete() else CONSTANT_NAMES[:4])
+
     def complete(self) -> bool:
         return self.b_star is not None and self.alpha_b is not None
 
@@ -256,21 +260,15 @@ class ConstantsDocument:
         """The document as ScalingConstants; requires a complete fit."""
         if not self.complete():
             raise ValidationError("document holds a partial fit, no batch law")
-        return ScalingConstants(
-            n_c=self.n_c, alpha_n=self.alpha_n,
-            s_c=self.s_c, alpha_s=self.alpha_s,
-            b_star=self.b_star, alpha_b=self.alpha_b,
-            meta=dict(self.meta),
-        )
+        return ScalingConstants(**_constant_values(self), meta=dict(self.meta))
 
     @classmethod
     def from_constants(cls, c: ScalingConstants, diagnostics: dict | None = None):
-        return cls(
-            n_c=c.n_c, alpha_n=c.alpha_n,
-            s_c=c.s_c, alpha_s=c.alpha_s,
-            b_star=c.b_star, alpha_b=c.alpha_b,
-            meta=dict(c.meta), diagnostics=dict(diagnostics or {}),
-        )
+        return cls(**_constant_values(c), meta=dict(c.meta), diagnostics=dict(diagnostics or {}))
+
+
+def _constant_values(holder) -> dict:
+    return {name: getattr(holder, name) for name in CONSTANT_NAMES}
 
 
 def _stage_dict(stage) -> dict:
@@ -311,12 +309,8 @@ def document_from_report(report: FitReport) -> ConstantsDocument:
             "residual_rms_before": p.residual_rms_before,
             "residual_rms_after": p.residual_rms_after,
         }
-    meta = dict(report.constants.meta) if report.constants is not None else {}
     return ConstantsDocument(
-        n_c=report.n_c, alpha_n=report.alpha_n,
-        s_c=report.s_c, alpha_s=report.alpha_s,
-        b_star=report.b_star, alpha_b=report.alpha_b,
-        meta=meta, diagnostics=diagnostics,
+        **_constant_values(report), meta=dict(report.meta), diagnostics=diagnostics
     )
 
 
@@ -348,8 +342,8 @@ def write_constants(doc, target) -> None:
         '  "kind": "scaling-constants",',
         '  "constants": {',
     ]
-    for i, name in enumerate(_CONSTANT_FIELDS):
-        comma = "," if i < len(_CONSTANT_FIELDS) - 1 else ""
+    for i, name in enumerate(CONSTANT_NAMES):
+        comma = "," if i < len(CONSTANT_NAMES) - 1 else ""
         parts.append(f'    "{name}": {_constant_repr(getattr(doc, name))}{comma}')
     parts.append("  },")
     parts.append(f'  "meta": {_nested_json(doc.meta, "  ")},')
@@ -363,7 +357,9 @@ def read_constants(source) -> ConstantsDocument:
     """Parse a constants document.
 
     Raises:
-        ParseError: not a constants document, or malformed values.
+        ParseError: not a constants document, or values that
+            ConstantsDocument rejects (non-numbers, bools, out of range,
+            only one of b_star and alpha_b null).
         FormatVersionError: unknown schema version.
     """
     with _open_in(source) as handle:
@@ -383,49 +379,16 @@ def read_constants(source) -> ConstantsDocument:
     block = obj.get("constants")
     if not isinstance(block, dict):
         raise ParseError("missing constants block")
-    missing = [k for k in _CONSTANT_FIELDS if k not in block]
+    missing = [k for k in CONSTANT_NAMES if k not in block]
     if missing:
         raise ParseError(f"constants block missing {missing}")
-    values = {}
-    for name in _CONSTANT_FIELDS:
-        raw = block[name]
-        optional = name in ("b_star", "alpha_b")
-        if raw is None and optional:
-            values[name] = None
-            continue
-        try:
-            v = float(raw)
-        except (TypeError, ValueError):
-            raise ParseError(f"constant {name} must be a number, got {raw!r}") from None
-        if not (math.isfinite(v) and v > 0):
-            raise ParseError(f"constant {name} must be positive and finite, got {v!r}")
-        values[name] = v
     meta = obj.get("meta", {})
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(meta, dict) or not isinstance(diagnostics, dict):
         raise ParseError("meta and diagnostics must be objects")
-    return ConstantsDocument(meta=meta, diagnostics=diagnostics, **values)
-
-
-# ---------------------------------------------------------------------------
-# preprocessing
-# ---------------------------------------------------------------------------
-
-
-def preprocess(
-    run: RunRecord,
-    trim: WarmupTrim = WarmupTrim(),
-    smooth_half_life: float | None = None,
-    downsample: int = 1,
-) -> RunRecord:
-    """Shape a raw log for fitting: trim, then smooth, then downsample.
-
-    Args:
-        trim: warm-up trimming rule; WarmupTrim(0, 0) keeps everything.
-        smooth_half_life: EMA half-life in steps, None to skip.
-        downsample: keep every k-th sample per split.
-    """
-    run = trim_warmup(run, trim)
-    if smooth_half_life is not None:
-        run = ema_smooth(run, smooth_half_life)
-    return downsample_run(run, downsample)
+    try:
+        return ConstantsDocument(
+            **{k: block[k] for k in CONSTANT_NAMES}, meta=meta, diagnostics=diagnostics
+        )
+    except DomainError as e:
+        raise ParseError(f"bad constant: {e}") from None

@@ -22,6 +22,7 @@ scalar input.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,35 @@ _BRACKET_LO = 1e-9
 _BRACKET_HI = 10.0
 _MAX_DOUBLINGS = 40
 _MAX_BISECTIONS = 200
+
+CONSTANT_NAMES = ("n_c", "alpha_n", "s_c", "alpha_s", "b_star", "alpha_b")
+# every exponent (alpha_*) lies in (0, EXPONENT_LIMIT)
+EXPONENT_LIMIT = 2.0
+
+
+def positive_real(name: str, value, below: float = math.inf, error=DomainError):
+    """Require a positive finite real scalar below ``below``.
+
+    numpy reals pass; bools, strings, arrays, NaN and numbers beyond the
+    float range do not. Raises ``error`` naming the value.
+    """
+    try:
+        # the float comparison also rejects NaN and infinities
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and 0 < float(value) < below)
+    except OverflowError:  # an integer beyond any float
+        ok = False
+    if not ok:
+        what = (f"a real number in (0, {below:g})" if below < math.inf
+                else "a positive finite real number")
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
+def check_constants(holder, names=CONSTANT_NAMES) -> None:
+    """Check the named constants of ``holder``; scales need only be positive."""
+    for name in names:
+        below = EXPONENT_LIMIT if name.startswith("alpha_") else math.inf
+        positive_real(name, getattr(holder, name), below)
 
 
 @dataclass(frozen=True)
@@ -60,14 +90,7 @@ class ScalingConstants:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("n_c", "alpha_n", "s_c", "alpha_s", "b_star", "alpha_b"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite number, got {v!r}")
-        for name in ("alpha_n", "alpha_s", "alpha_b"):
-            v = getattr(self, name)
-            if not 0.0 < v < 2.0:
-                raise DomainError(f"{name} must lie in (0, 2), got {v!r}")
+        check_constants(self)
 
 
 # Reference fits. The c4 set comes from decoder-only models up to 60M

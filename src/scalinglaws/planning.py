@@ -17,12 +17,15 @@ Running at the critical batch costs twice the minimum steps, which is
 where the 12 = 2 * 6 in C_c comes from; S(C) above is actual steps, so
 it already contains that factor of two. The final loss always exceeds
 the converged loss for N(C) by exactly the factor (1 + r): a
-compute-optimal run stops far short of convergence.
+compute-optimal run stops far short of convergence. L(C) inverts in
+closed form too, so the cheapest budget reaching a target loss L is
+ln C = ln C_c - ln(L) / alpha_c.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -39,14 +42,15 @@ from .laws import (
     ScalingConstants,
     critical_batch,
     loss_at_convergence,
+    positive_real,
     solve_loss,
 )
 
 # tokens-per-parameter cost of one training step: forward plus backward
 _FLOPS_FACTOR = 6.0
 
-_BUDGET_BISECTIONS = 60
-_MAX_BRACKET_GROWTH = 200
+# log budgets whose exponential is a normal double
+_LN_BUDGET_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,7 @@ def optimal_allocation(c: ScalingConstants, budget) -> AllocationPlan:
         DomainError: non-positive budget, or a budget so extreme the
             allocation overflows double precision.
     """
-    if not (isinstance(budget, (int, float)) and math.isfinite(budget) and budget > 0):
-        raise DomainError(f"budget must be a positive finite number, got {budget!r}")
+    positive_real("budget", budget)
     r = c.alpha_n / c.alpha_s
     alpha_c = budget_exponent(c)
     ln_cc = _ln_budget_scale(c)
@@ -235,48 +238,27 @@ def min_tokens_for_loss(c: ScalingConstants, n, target) -> float:
 def min_budget_for_loss(c: ScalingConstants, target) -> tuple[float, AllocationPlan]:
     """Smallest compute budget whose optimal allocation reaches a loss.
 
-    Inverts the frontier by bisection on log budget; the frontier loss
-    is strictly decreasing in the budget, so the root is unique.
+    Inverts the frontier L(C) = (C / C_c) ** -alpha_c in closed form:
+    ln C = ln C_c - ln(target) / alpha_c.
 
     Returns:
         (budget, plan) with plan.loss_final equal to the target to
-        within the bisection resolution.
+        within rounding.
 
     Raises:
         UnreachableLossError: non-positive target.
-        SolverError: the bracket search ran away, which only happens
-            for targets absurdly far from the fitted regime.
+        DomainError: a target so far from the fitted regime that the
+            budget leaves the range of a double, or the allocation
+            overflows.
     """
-    if not (isinstance(target, (int, float)) and math.isfinite(target) and target > 0):
-        raise UnreachableLossError(f"target loss must be positive, got {target!r}")
-    alpha_c = budget_exponent(c)
-    ln_cc = _ln_budget_scale(c)
-
-    def frontier_gap(ln_budget):
-        # frontier loss minus target; decreasing in ln_budget
-        return math.exp(-alpha_c * (ln_budget - ln_cc)) - target
-
-    lo = hi = ln_cc
-    step = 8.0
-    for _ in range(_MAX_BRACKET_GROWTH):
-        if frontier_gap(lo) >= 0:
-            break
-        lo -= step
-    else:
-        raise SolverError(f"no budget bracket below target {target!r}")
-    for _ in range(_MAX_BRACKET_GROWTH):
-        if frontier_gap(hi) <= 0:
-            break
-        hi += step
-    else:
-        raise SolverError(f"no budget bracket above target {target!r}")
-    for _ in range(_BUDGET_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if frontier_gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    budget = math.exp(0.5 * (lo + hi))
+    positive_real("target loss", target, error=UnreachableLossError)
+    ln_budget = _ln_budget_scale(c) - math.log(target) / budget_exponent(c)
+    if not _LN_BUDGET_RANGE[0] <= ln_budget <= _LN_BUDGET_RANGE[1]:
+        raise DomainError(
+            f"the budget for target loss {target!r} is e**{ln_budget:.6g} FLOPs, "
+            "outside the range of a double"
+        )
+    budget = math.exp(ln_budget)
     return budget, optimal_allocation(c, budget)
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .laws import positive_real
 
 SPLITS = ("train", "test")
 
@@ -36,10 +37,8 @@ class ConvergedRun:
     final_loss: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n_params) and self.n_params > 0):
-            raise ValidationError(f"n_params must be positive, got {self.n_params!r}")
-        if not (math.isfinite(self.final_loss) and self.final_loss > 0):
-            raise ValidationError(f"final_loss must be positive, got {self.final_loss!r}")
+        positive_real("n_params", self.n_params, error=ValidationError)
+        positive_real("final_loss", self.final_loss, error=ValidationError)
 
 
 @dataclass
@@ -71,9 +70,7 @@ class RunRecord:
         if not self.run_id:
             raise ValidationError("run_id must be a non-empty string")
         for name in ("n_params", "batch_tokens", "context_length"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be positive, got {v!r}")
+            positive_real(name, getattr(self, name), error=ValidationError)
         self.samples = _canonical_samples(self, row_names or (lambda i: f"sample {i}"))
 
     def __eq__(self, other):
@@ -200,8 +197,7 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
     Args:
         half_life: steps over which a sample's weight halves; must be > 0.
     """
-    if not (math.isfinite(half_life) and half_life > 0):
-        raise ValidationError(f"half_life must be positive, got {half_life!r}")
+    positive_real("half_life", half_life, error=ValidationError)
     samples = run.samples.copy()
     for split in run.splits():
         steps, _, losses = run.split_arrays(split)

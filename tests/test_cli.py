@@ -9,6 +9,7 @@ import pytest
 
 from scalinglaws import (
     C4_CONSTANTS,
+    ScalingLawWarning,
     critical_batch,
     min_steps_for_loss,
     optimal_allocation,
@@ -157,6 +158,13 @@ class TestPlan:
         )
         assert rc == 1
         assert "converged floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1e-30", "1e30"])
+    def test_target_outside_double_range_is_operation_error(self, constants_path, capsys, target):
+        rc = run_cli("plan", "--constants", constants_path, "--target-loss", target)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target loss" in err
 
 
 class TestSimulate:
@@ -342,3 +350,33 @@ class TestFitClosure:
         assert fit.b_star == pytest.approx(C4.b_star, rel=5e-2)
         assert doc.meta["scan_runs"] == 3
         assert doc.diagnostics["complete"] is True
+
+    def test_document_on_stdout_parses(self, tmp_path, capsys):
+        consts = tmp_path / "c4.json"
+        write_constants(C4, consts)
+        conv_dir = tmp_path / "conv"
+        assert main([
+            "simulate", "--constants", str(consts), "--kind", "converged",
+            "--sizes", "1e6,1e7,1e8", "--out-dir", str(conv_dir),
+        ]) == 0
+        big = tmp_path / "big.jsonl"
+        assert main([
+            "simulate", "--constants", str(consts), "--n-params", "1e7",
+            "--batch-tokens", "1e12", "--num-steps", "1000", "--log-every", "10",
+            "--out", str(big),
+        ]) == 0
+        capsys.readouterr()
+
+        # no scan logs: a partial fit, which warns
+        argv = ["fit", "--big-batch-log", str(big), "--out", "-"]
+        for p in sorted(conv_dir.glob("*.jsonl")):
+            argv += ["--converged-log", str(p)]
+        with pytest.warns(ScalingLawWarning, match="no scan runs"):
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["kind"] == "scaling-constants"
+        assert doc["constants"]["b_star"] is None
+        assert doc["meta"]["dataset_tag"] == "c4"
+        # the table and stage lines still reach the terminal, on stderr
+        assert "complete: no" in captured.err and "alpha_n" in captured.err

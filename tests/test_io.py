@@ -1,4 +1,4 @@
-"""Serialization: run logs, constants documents, preprocessing."""
+"""Serialization: run logs and constants documents."""
 
 import io
 import json
@@ -16,20 +16,15 @@ from scalinglaws import (
     RunRecord,
     ScalingLawWarning,
     ValidationError,
-    WarmupTrim,
     document_from_report,
-    downsample_run,
-    ema_smooth,
     fit_full_pipeline,
     gen_batch_scan,
     gen_converged_suite,
     gen_trajectory,
     min_steps_for_loss,
     critical_batch,
-    preprocess,
     read_constants,
     read_run_log,
-    trim_warmup,
     write_constants,
     write_run_log,
 )
@@ -373,6 +368,7 @@ class TestConstantsDocuments:
         assert doc.b_star is None and doc.alpha_b is None
         with pytest.raises(ValidationError, match="partial"):
             doc.constants()
+        assert doc.meta["dataset_tag"] == "c4"
 
     def test_read_rejects_bad_documents(self, tmp_path):
         cases = {
@@ -403,7 +399,17 @@ class TestConstantsDocuments:
         del bad_missing["constants"]["alpha_s"]
         bad_null_required = json.loads(json.dumps(base))
         bad_null_required["constants"]["n_c"] = None
-        for i, obj in enumerate([bad_negative, bad_missing, bad_null_required]):
+        bad_bool = json.loads(json.dumps(base))
+        bad_bool["constants"]["alpha_n"] = True
+        bad_string = json.loads(json.dumps(base))
+        bad_string["constants"]["n_c"] = "1.5e14"
+        bad_partial_exponent = json.loads(json.dumps(base))
+        bad_partial_exponent["constants"].update(alpha_n=5.0, b_star=None, alpha_b=None)
+        bad_half_batch_law = json.loads(json.dumps(base))
+        bad_half_batch_law["constants"]["b_star"] = None
+        cases = [bad_negative, bad_missing, bad_null_required, bad_bool, bad_string,
+                 bad_partial_exponent, bad_half_batch_law]
+        for i, obj in enumerate(cases):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(obj))
             with pytest.raises(ParseError):
@@ -426,18 +432,3 @@ class TestConstantsDocuments:
         doc = ConstantsDocument.from_constants(C4, diagnostics={"note": 1})
         assert doc.meta == C4.meta
         assert doc.diagnostics == {"note": 1}
-
-
-class TestPreprocess:
-    def test_composition_order(self):
-        run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=2000, log_every=4)
-        manual = downsample_run(
-            ema_smooth(trim_warmup(run, WarmupTrim()), 200.0), 3
-        )
-        auto = preprocess(run, smooth_half_life=200.0, downsample=3)
-        assert auto.samples.tolist() == manual.samples.tolist()
-
-    def test_identity_options(self):
-        run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=500, log_every=50)
-        out = preprocess(run, trim=WarmupTrim(0, 0))
-        assert out is run

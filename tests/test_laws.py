@@ -57,12 +57,24 @@ class TestConstants:
     @pytest.mark.parametrize("field,value", [
         ("n_c", -1.0), ("n_c", 0.0), ("s_c", math.nan), ("b_star", math.inf),
         ("alpha_n", 2.0), ("alpha_s", -0.1), ("alpha_b", 2.5),
+        ("alpha_n", True), ("n_c", "1.5e14"),
+        pytest.param("s_c", 10**400, id="s_c-int-beyond-float"),
     ])
     def test_rejects_bad_fields(self, field, value):
         kwargs = dict(n_c=1e14, alpha_n=0.08, s_c=2e3, alpha_s=0.7, b_star=1e8, alpha_b=0.2)
         kwargs[field] = value
         with pytest.raises(DomainError):
             ScalingConstants(**kwargs)
+
+    def test_accepts_numpy_reals(self):
+        c = ScalingConstants(
+            n_c=np.int64(150_000_000_000_000), alpha_n=np.float32(0.076),
+            s_c=np.int64(2600), alpha_s=np.float32(0.67),
+            b_star=np.float64(1.7e8), alpha_b=np.float32(0.205),
+        )
+        assert loss_at_convergence(c, 1e9) == pytest.approx(
+            loss_at_convergence(C4, 1e9), rel=1e-6
+        )
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

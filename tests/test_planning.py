@@ -1,15 +1,19 @@
 """Compute allocation: closed forms, brute-force checks, planning helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalinglaws import (
     C4_CONSTANTS,
     DomainError,
     InsufficientDataError,
     MIXED_CONSTANTS,
+    ScalingConstants,
     ScalingLawWarning,
     SolverError,
     UnreachableLossError,
@@ -153,6 +157,29 @@ class TestMinCostHelpers:
             min_budget_for_loss(C4, 0.0)
         with pytest.raises(UnreachableLossError):
             min_budget_for_loss(C4, -2.0)
+
+    @pytest.mark.parametrize("target", [1e-30, 1e30])
+    def test_min_budget_outside_double_range_names_target(self, target):
+        with pytest.raises(DomainError, match=re.escape(f"target loss {target!r}")):
+            min_budget_for_loss(C4, target)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n_c=st.floats(13.0, 18.0), alpha_n=st.floats(0.05, 0.1),
+        s_c=st.floats(2.7, 3.7), alpha_s=st.floats(0.5, 0.8),
+        b_star=st.floats(8.0, 12.0), alpha_b=st.floats(0.1, 0.3),
+        log_budget=st.floats(15.0, 30.0),
+    )
+    def test_min_budget_inverts_allocation(self, n_c, alpha_n, s_c, alpha_s, b_star, alpha_b,
+                                           log_budget):
+        # scales and the budget are drawn as decimal exponents, as in the gates
+        c = ScalingConstants(
+            n_c=10**n_c, alpha_n=alpha_n, s_c=10**s_c, alpha_s=alpha_s,
+            b_star=10**b_star, alpha_b=alpha_b,
+        )
+        budget = 10**log_budget
+        back, _ = min_budget_for_loss(c, optimal_allocation(c, budget).loss_final)
+        assert back == pytest.approx(budget, rel=1e-12)
 
 
 class TestPredictTrajectory:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalinglaws import (
+    ConvergedRun,
     RunRecord,
     ValidationError,
     WarmupTrim,
@@ -99,10 +100,16 @@ class TestRunValidation:
     @pytest.mark.parametrize("field,value", [
         ("n_params", 0.0), ("batch_tokens", -1.0),
         ("context_length", 0), ("run_id", ""),
+        ("n_params", True), ("context_length", True),
     ])
     def test_header_fields_validated(self, field, value):
         with pytest.raises(ValidationError):
             make_run([100], [3.0], **{field: value})
+
+    @pytest.mark.parametrize("n_params,final_loss", [(True, 3.0), (1e7, True)])
+    def test_converged_run_rejects_bools(self, n_params, final_loss):
+        with pytest.raises(ValidationError):
+            ConvergedRun(n_params, final_loss)
 
 
 class TestSplitArrays:
