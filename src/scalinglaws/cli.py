@@ -13,16 +13,13 @@ import argparse
 import json
 import sys
 
-from .errors import InsufficientDataError, ScalingLawError, ValidationError
+from .errors import ScalingLawError, ValidationError
 from .fitting import (
     FitOptions,
-    extract_converged_run,
-    default_contour_targets,
     diagnose_infinite_batch,
     diagnose_infinite_data,
-    extract_contours,
-    fit_contour,
-    fit_critical_batch_law,
+    extract_converged_run,
+    fit_batch_stage,
     fit_full_pipeline,
 )
 from .io import (
@@ -41,7 +38,7 @@ from .planning import (
     predict_trajectory,
     recommend_batch,
 )
-from .records import WarmupTrim, ema_smooth, trim_warmup
+from .records import WarmupTrim
 from .synthetic import NoiseSpec, WarmupSpec, gen_batch_scan, gen_converged_log, gen_trajectory
 
 FORMATS = ("table", "csv", "jsonl")
@@ -111,28 +108,32 @@ def _trim_from(args) -> WarmupTrim:
     return WarmupTrim(min_step=args.trim_min_step, final_fraction=args.trim_fraction)
 
 
+def _fit_options(args, **extra) -> FitOptions:
+    """FitOptions from the flags _add_scan_flags declares."""
+    return FitOptions(
+        trim=_trim_from(args),
+        split=args.split,
+        smooth_half_life=args.smooth_half_life,
+        contour_targets=tuple(_parse_float_list(args.targets, "--targets")) if args.targets else None,
+        num_targets=args.num_targets,
+        refine_batch_law=args.refine,
+        **extra,
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_fit(args) -> int:
-    trim = _trim_from(args)
+    options = _fit_options(args, post_correct=not args.no_post_correct)
     converged = [
-        extract_converged_run(read_run_log(path), trim=trim, split=args.split)
+        extract_converged_run(read_run_log(path), trim=options.trim, split=args.split)
         for path in args.converged_log
     ]
     big_batch = read_run_log(args.big_batch_log)
     scans = [read_run_log(path) for path in args.scan_log or []]
-    options = FitOptions(
-        trim=trim,
-        split=args.split,
-        smooth_half_life=args.smooth_half_life,
-        contour_targets=tuple(_parse_float_list(args.targets, "--targets")) if args.targets else None,
-        num_targets=args.num_targets,
-        refine_batch_law=args.refine,
-        post_correct=not args.no_post_correct,
-    )
     report = fit_full_pipeline(converged, big_batch, scans, options)
 
     rows = [
@@ -197,20 +198,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    trim = _trim_from(args)
-    runs = [trim_warmup(read_run_log(path), trim) for path in args.scan_log]
-    if args.smooth_half_life is not None:
-        runs = [ema_smooth(run, args.smooth_half_life) for run in runs]
-    runs.sort(key=lambda r: r.batch_tokens)
-    if args.targets:
-        targets = _parse_float_list(args.targets, "--targets")
-    else:
-        targets = default_contour_targets(runs, args.num_targets, split=args.split)
-    points = extract_contours(runs, targets, split=args.split)
-    if not points:
-        raise InsufficientDataError("no contour has two or more crossings")
-    contours = [fit_contour(p) for p in points]
-    law = fit_critical_batch_law(contours, refine=args.refine)
+    runs = [read_run_log(path) for path in args.scan_log]
+    _, contours, law = fit_batch_stage(runs, _fit_options(args))
     rows = [
         (f.loss_target, f.s_min_hat, f.e_min_hat, f.b_crit_hat, f.point_count, f.residual_rms)
         for f in contours
@@ -315,6 +304,17 @@ def _add_output_flags(sub, default_out="-"):
     sub.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
 
+def _add_scan_flags(sub, required):
+    sub.add_argument("--scan-log", action="append", required=required,
+                     help="log of one batch-scan run; repeat per batch size")
+    sub.add_argument("--targets", help="comma-separated contour losses")
+    sub.add_argument("--num-targets", type=int, default=5, help="automatic contour count")
+    sub.add_argument("--smooth-half-life", type=float, default=None,
+                     help="EMA half-life in steps for scan runs")
+    sub.add_argument("--refine", action="store_true", help="refine the batch law fit")
+    _add_trim_flags(sub)
+
+
 def _add_trim_flags(sub):
     sub.add_argument("--trim-min-step", type=float, default=100.0,
                      help="drop samples below this step")
@@ -336,17 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="log of a run trained to convergence; repeat per model size")
     fit.add_argument("--big-batch-log", required=True,
                      help="log of one run at effectively unbounded batch")
-    fit.add_argument("--scan-log", action="append",
-                     help="log of one batch-scan run; repeat per batch size")
-    fit.add_argument("--targets", help="comma-separated contour losses")
-    fit.add_argument("--num-targets", type=int, default=5, help="automatic contour count")
-    fit.add_argument("--smooth-half-life", type=float, default=None,
-                     help="EMA half-life in steps for scan runs")
-    fit.add_argument("--refine", action="store_true", help="refine the batch law fit")
     fit.add_argument("--no-post-correct", action="store_true",
                      help="skip the analytic batch-law post-correction")
     fit.add_argument("--out", default=None, help="write the constants document here, - for stdout")
-    _add_trim_flags(fit)
+    _add_scan_flags(fit, required=False)
     fit.set_defaults(func=cmd_fit)
 
     predict = commands.add_parser("predict", help="predict a loss curve from constants")
@@ -371,14 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(func=cmd_plan)
 
     scan = commands.add_parser("scan", help="fit the batch law from a batch scan")
-    scan.add_argument("--scan-log", action="append", required=True,
-                      help="log of one batch-scan run; repeat per batch size")
-    scan.add_argument("--targets", help="comma-separated contour losses")
-    scan.add_argument("--num-targets", type=int, default=5, help="automatic contour count")
-    scan.add_argument("--smooth-half-life", type=float, default=None,
-                      help="EMA half-life in steps")
-    scan.add_argument("--refine", action="store_true", help="refine the batch law fit")
-    _add_trim_flags(scan)
+    _add_scan_flags(scan, required=True)
     _add_output_flags(scan)
     scan.set_defaults(func=cmd_scan)
 

@@ -755,6 +755,34 @@ def diagnose_infinite_batch(
 # ---------------------------------------------------------------------------
 
 
+def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
+    """Stages 3 and 4: trim, order by batch, smooth, fit contours and the batch law.
+
+    Returns (runs, contours, law): the prepared runs in batch order, so
+    the order given changes no result; a ContourFit per kept contour;
+    and the PowerLawFit of (b_star, alpha_b).
+
+    Raises:
+        InsufficientDataError: no contour has two or more crossings.
+    """
+    opts = options or FitOptions()
+    runs = [trim_warmup(run, opts.trim) for run in scan_runs]
+    # the one sort: contour points, and every sum over them, follow batch order
+    runs.sort(key=lambda r: r.batch_tokens)
+    if opts.smooth_half_life is not None:
+        runs = [ema_smooth(run, opts.smooth_half_life) for run in runs]
+    targets = opts.contour_targets
+    if targets is None:
+        targets = default_contour_targets(
+            runs, opts.num_targets, split=opts.split, inset=opts.target_inset
+        )
+    points = extract_contours(runs, targets, split=opts.split)
+    if not points:
+        raise InsufficientDataError("no contour has two or more crossings")
+    contours = [fit_contour(p) for p in points]
+    return runs, contours, fit_critical_batch_law(contours, refine=opts.refine_batch_law)
+
+
 def fit_full_pipeline(
     converged,
     big_batch_run: RunRecord,
@@ -807,26 +835,13 @@ def fit_full_pipeline(
         report.warnings.append(message)
         return report
 
-    prepared = [trim_warmup(run, opts.trim) for run in scan_runs]
-    if opts.smooth_half_life is not None:
-        prepared = [ema_smooth(run, opts.smooth_half_life) for run in prepared]
-    if opts.contour_targets is None:
-        targets = default_contour_targets(
-            prepared, opts.num_targets, split=opts.split, inset=opts.target_inset
-        )
-    else:
-        targets = np.asarray(opts.contour_targets, dtype=float)
-    points = extract_contours(prepared, targets, split=opts.split)
-    if not points:
-        raise InsufficientDataError("no contour has two or more crossings")
-    report.contours = [fit_contour(p) for p in points]
-    batch_fit = fit_critical_batch_law(report.contours, refine=opts.refine_batch_law)
+    runs, report.contours, batch_fit = fit_batch_stage(scan_runs, opts)
     report.batch_stage = batch_fit.stage
     report.b_star, report.alpha_b = batch_fit.scale, batch_fit.exponent
     if opts.post_correct:
         # the candidate constants carry the contour-only batch law
         post = post_correct_batch_law(
-            report.constants, prepared, report.contours,
+            report.constants, runs, report.contours,
             split=opts.split, refine=opts.refine_batch_law,
         )
         report.post_correction = post

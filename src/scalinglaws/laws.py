@@ -111,10 +111,11 @@ MIXED_CONSTANTS = ScalingConstants(
 
 
 def _validated(name, value):
-    """Coerce to a float array and require positive finite entries."""
-    arr = np.asarray(value, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    """Coerce to a float array and require positive finite real entries."""
+    raw = np.asarray(value)
+    arr = raw.astype(float, copy=False)
+    if raw.dtype == bool or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
+        raise DomainError(f"{name} must be positive and finite, never a bool, got {value!r}")
     return arr
 
 

@@ -218,16 +218,21 @@ def verify_allocation(
 def min_steps_for_loss(c: ScalingConstants, n, target) -> float:
     """Fewest optimization steps to a target loss, at unbounded batch.
 
+    Like every planning inverse it takes scalars, numpy reals included.
+
     Raises:
-        UnreachableLossError: target at or below the converged floor
-            for this model size.
+        DomainError: n is not a positive finite real scalar.
+        UnreachableLossError: target is not one either, or lies at or
+            below the converged floor for this model size.
     """
+    positive_real("n", n)
+    positive_real("target loss", target, error=UnreachableLossError)
     floor = loss_at_convergence(c, n)
-    if not (isinstance(target, (int, float)) and math.isfinite(target)) or target <= floor:
+    if target <= floor:
         raise UnreachableLossError(
             f"loss {target!r} is unreachable for n={n:g}; the converged floor is {floor:.6g}"
         )
-    return c.s_c * math.exp(-math.log(target - floor) / c.alpha_s)
+    return c.s_c * math.exp(-math.log(float(target) - floor) / c.alpha_s)
 
 
 def min_tokens_for_loss(c: ScalingConstants, n, target) -> float:
@@ -296,8 +301,10 @@ def recommend_batch(c: ScalingConstants, loss, time_weight: float = 1.0) -> floa
     A zero weight means compute is all that matters; the optimum is the
     vanishing-batch limit, returned as 0.0 with a warning.
     """
-    if not (isinstance(time_weight, (int, float)) and math.isfinite(time_weight) and time_weight >= 0):
-        raise DomainError(f"time_weight must be >= 0, got {time_weight!r}")
+    if isinstance(time_weight, bool) or not (
+        isinstance(time_weight, (int, float)) and math.isfinite(time_weight) and time_weight >= 0
+    ):
+        raise DomainError(f"time_weight must be a finite int or float >= 0, got {time_weight!r}")
     if time_weight == 0:
         warnings.warn(
             "time_weight 0 has no finite optimum; batch should be as small "

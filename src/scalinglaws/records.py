@@ -145,7 +145,7 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# reshaping: warm-up trimming, smoothing, downsampling
+# reshaping: warm-up trimming and smoothing
 # ---------------------------------------------------------------------------
 
 
@@ -163,10 +163,10 @@ class WarmupTrim:
     final_fraction: float = 0.02
 
     def __post_init__(self):
-        if self.min_step < 0 or not math.isfinite(self.min_step):
-            raise ValidationError(f"min_step must be >= 0, got {self.min_step!r}")
-        if not 0 <= self.final_fraction < 1:
-            raise ValidationError(f"final_fraction must lie in [0, 1), got {self.final_fraction!r}")
+        if isinstance(self.min_step, bool) or not 0 <= self.min_step < math.inf:
+            raise ValidationError(f"min_step must be a finite real >= 0, got {self.min_step!r}")
+        if isinstance(self.final_fraction, bool) or not 0 <= self.final_fraction < 1:
+            raise ValidationError(f"final_fraction must be a real in [0, 1), got {self.final_fraction!r}")
 
     def threshold(self, final_step: float) -> float:
         return max(self.min_step, self.final_fraction * final_step)
@@ -208,15 +208,3 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
             out[i] = decay[i - 1] * out[i - 1] + (1.0 - decay[i - 1]) * losses[i]
         samples["loss"][samples["split"] == split] = out
     return replace(run, samples=samples)
-
-
-def downsample_run(run: RunRecord, stride: int) -> RunRecord:
-    """Keep every ``stride``-th sample of each split, starting at the first."""
-    if not isinstance(stride, int) or stride < 1:
-        raise ValidationError(f"stride must be a positive integer, got {stride!r}")
-    if stride == 1:
-        return run
-    kept = np.zeros(len(run.samples), dtype=bool)
-    for split in SPLITS:
-        kept[np.flatnonzero(run.samples["split"] == split)[::stride]] = True
-    return replace(run, samples=run.samples[kept])

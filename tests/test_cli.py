@@ -380,3 +380,51 @@ class TestFitClosure:
         assert doc["meta"]["dataset_tag"] == "c4"
         # the table and stage lines still reach the terminal, on stderr
         assert "complete: no" in captured.err and "alpha_n" in captured.err
+
+
+@pytest.fixture(scope="module")
+def noisy_logs(tmp_path_factory):
+    """Converged, big-batch and five noisy scan logs of one C4 campaign."""
+    tmp = tmp_path_factory.mktemp("noisy")
+    consts = tmp / "c4.json"
+    write_constants(C4, consts)
+    common = ["simulate", "--constants", str(consts), "--sigma", "0.01"]
+    assert main(common + [
+        "--kind", "converged", "--sizes", "1e6,1e7,1e8", "--out-dir", str(tmp / "conv"),
+    ]) == 0
+    assert main(common + [
+        "--n-params", "1e7", "--batch-tokens", "1e12", "--num-steps", "3000",
+        "--log-every", "10", "--out", str(tmp / "big.jsonl"),
+    ]) == 0
+    steps = int(1.25 * min_steps_for_loss(C4, 1e7, 4.6) * (1 + critical_batch(C4, 4.6) / 3e4))
+    assert main(common + [
+        "--kind", "scan", "--n-params", "1e7", "--batch-tokens", "3e4,1e5,3e5,1e6,3e6",
+        "--num-steps", str(steps), "--log-every", "5", "--out-dir", str(tmp / "scans"),
+    ]) == 0
+    return tmp
+
+
+class TestScanLogOrder:
+    def test_fit_and_scan_agree_for_any_scan_order(self, noisy_logs, capsys):
+        capsys.readouterr()
+        by_batch = sorted(noisy_logs.glob("scans/*.jsonl"), key=lambda p: float(p.stem[6:]))
+        reports = {}
+        for name, logs in (("in order", by_batch), ("reversed", by_batch[::-1])):
+            argv = ["fit", "--no-post-correct", "--out", "-",
+                    "--big-batch-log", str(noisy_logs / "big.jsonl")]
+            for p in sorted(noisy_logs.glob("conv/*.jsonl")):
+                argv += ["--converged-log", str(p)]
+            for p in logs:
+                argv += ["--scan-log", str(p)]
+            assert main(argv) == 0
+            reports[name] = json.loads(capsys.readouterr().out)["constants"]
+        assert reports["reversed"] == reports["in order"]
+
+        argv = ["scan"]
+        for p in by_batch[::-1]:
+            argv += ["--scan-log", str(p)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for key in ("b_star", "alpha_b"):
+            scanned = out.split(f"{key}:")[1].split()[0]
+            assert scanned == format(reports["reversed"][key], ".10g")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalinglaws import (
     C4_CONSTANTS,
@@ -12,6 +14,7 @@ from scalinglaws import (
     FitOptions,
     InconsistentConstantsError,
     InsufficientDataError,
+    NoiseSpec,
     RunRecord,
     ScalingLawWarning,
     ValidationError,
@@ -22,6 +25,7 @@ from scalinglaws import (
     diagnose_infinite_data,
     extract_contours,
     extract_converged_run,
+    fit_batch_stage,
     fit_contour,
     fit_converged_law,
     fit_critical_batch_law,
@@ -38,6 +42,7 @@ from scalinglaws import (
     trim_warmup,
 )
 from scalinglaws.fitting import ContourFit
+from scalinglaws.laws import CONSTANT_NAMES
 
 C4 = C4_CONSTANTS
 
@@ -387,3 +392,50 @@ class TestFullPipeline:
         report = fit_full_pipeline(converged, big, scans, opts)
         assert [f.loss_target for f in report.contours] == [4.4, 4.6]
         assert report.post_correction is None
+
+
+@pytest.fixture(scope="module")
+def noisy_campaign():
+    """A small noisy C4 campaign whose five scan runs are in batch order."""
+    converged = gen_converged_suite(C4, np.geomspace(1e6, 6e7, 5))
+    big = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=3000, log_every=10)
+    batches = np.geomspace(1e4, 2.15e7, 5)
+    scans = gen_batch_scan(
+        C4, n=1e7, batches=list(batches), num_steps=[scan_steps(b) for b in batches],
+        noise=NoiseSpec(sigma=0.01, seed=0), log_every=10,
+    )
+    return converged, big, scans
+
+
+def constants_hex(report):
+    return [getattr(report, k).hex() for k in CONSTANT_NAMES]
+
+
+class TestBatchStage:
+    @settings(deadline=None, max_examples=20)
+    @given(order=st.permutations(range(5)))
+    def test_scan_order_does_not_change_the_fit(self, noisy_campaign, order):
+        converged, big, scans = noisy_campaign
+        in_order = fit_full_pipeline(converged, big, scans)
+        permuted = fit_full_pipeline(converged, big, [scans[i] for i in order])
+        assert constants_hex(permuted) == constants_hex(in_order)
+
+    def test_returns_prepared_runs_in_batch_order(self, noisy_campaign):
+        converged, big, scans = noisy_campaign
+        opts = FitOptions(smooth_half_life=50.0, post_correct=False)
+        runs, contours, law = fit_batch_stage(scans[::-1], opts)
+        assert [r.batch_tokens for r in runs] == [r.batch_tokens for r in scans]
+        for run, raw in zip(runs, scans):
+            assert run.final_step() == raw.final_step()
+            assert run.samples["step"][0] >= opts.trim.threshold(raw.final_step())
+        # smoothed, so the losses are no longer the trimmed raw ones
+        raw_losses = trim_warmup(scans[0], opts.trim).split_arrays("test")[2]
+        assert not np.array_equal(runs[0].split_arrays("test")[2], raw_losses)
+        report = fit_full_pipeline(converged, big, scans, opts)
+        assert report.contours == contours
+        assert (report.b_star, report.alpha_b) == (law.scale, law.exponent)
+
+    def test_no_contour_is_insufficient_data(self, noisy_campaign):
+        _, _, scans = noisy_campaign
+        with pytest.warns(ScalingLawWarning), pytest.raises(InsufficientDataError, match="no contour"):
+            fit_batch_stage(scans, FitOptions(contour_targets=(1.0,)))

@@ -95,7 +95,9 @@ class TestConvergedLoss:
         assert isinstance(out, np.ndarray) and out.shape == (2,)
         assert isinstance(loss_at_convergence(C4, 1e6), float)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, [1e6, -1.0]])
+    @pytest.mark.parametrize("bad", [
+        0.0, -1.0, math.nan, math.inf, [1e6, -1.0], True, np.bool_(True), [True, True],
+    ])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(DomainError):
             loss_at_convergence(C4, bad)
@@ -245,6 +247,8 @@ class TestSolveLoss:
         dict(n=-1e9, steps=1e5, batch_tokens=5e5),
         dict(n=1e9, steps=0.0, batch_tokens=5e5),
         dict(n=1e9, steps=1e5, batch_tokens=math.nan),
+        dict(n=True, steps=1e5, batch_tokens=5e5),
+        dict(n=1e9, steps=np.array([True, True]), batch_tokens=5e5),
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(DomainError):

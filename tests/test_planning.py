@@ -146,6 +146,24 @@ class TestMinCostHelpers:
         with pytest.raises(UnreachableLossError):
             min_steps_for_loss(C4, 1e9, 2.0)
 
+    def test_numpy_target_accepted(self):
+        assert min_steps_for_loss(C4, 1e9, np.float32(2.6)) == pytest.approx(
+            min_steps_for_loss(C4, 1e9, float(np.float32(2.6))), rel=1e-15
+        )
+        assert min_steps_for_loss(C4, np.float64(1e9), np.float64(2.6)) == pytest.approx(
+            57175.88803123188, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, True, "2.6", np.array([2.6])])
+    def test_min_steps_rejects_bad_target(self, target):
+        with pytest.raises(UnreachableLossError, match="target loss"):
+            min_steps_for_loss(C4, 1e9, target)
+
+    @pytest.mark.parametrize("n", [np.array([1e9, 1e8]), True, 0.0])
+    def test_min_steps_rejects_bad_size(self, n):
+        with pytest.raises(DomainError, match="n must be"):
+            min_steps_for_loss(C4, n, 2.6)
+
     def test_min_budget_round_trip(self):
         budget, plan = min_budget_for_loss(C4, 2.6)
         assert budget == pytest.approx(7.787202259845172e20, rel=1e-9)
@@ -199,6 +217,8 @@ class TestPredictTrajectory:
             predict_trajectory(C4, 1e8, 1e6, [100.0, 100.0])
         with pytest.raises(DomainError):
             predict_trajectory(C4, 1e8, 1e6, [200.0, 100.0])
+        with pytest.raises(DomainError):
+            predict_trajectory(C4, True, 1e6, [10.0, 100.0])
 
     def test_overly_fine_grid_is_solver_error(self):
         # neighboring losses collapse to the bisection tolerance
@@ -223,6 +243,11 @@ class TestRecommendBatch:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             recommend_batch(C4, 2.6, time_weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, True, False])
+    def test_non_real_weight_rejected(self, weight):
+        with pytest.raises(DomainError):
+            recommend_batch(C4, 2.6, time_weight=weight)
 
 
 class TestCompareDatasets:

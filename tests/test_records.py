@@ -1,4 +1,4 @@
-"""Run records: validation, trimming, smoothing, downsampling."""
+"""Run records: validation, trimming, smoothing."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from scalinglaws import (
     RunRecord,
     ValidationError,
     WarmupTrim,
-    downsample_run,
     ema_smooth,
     trim_warmup,
 )
@@ -194,6 +193,14 @@ class TestWarmupTrim:
         with pytest.raises(ValidationError):
             trim_warmup(run, WarmupTrim(min_step=100.0))
 
+    @pytest.mark.parametrize("min_step,final_fraction", [
+        (True, 0.0), (0.0, True), (False, 0.0), (0.0, False), (-1.0, 0.0), (float("nan"), 0.0),
+        (0.0, 1.0),
+    ])
+    def test_rejects_bad_rule(self, min_step, final_fraction):
+        with pytest.raises(ValidationError):
+            WarmupTrim(min_step, final_fraction)
+
 
 class TestEmaSmooth:
     def test_first_sample_unchanged(self):
@@ -232,21 +239,3 @@ class TestEmaSmooth:
         run = make_run([100, 200], [3.0, 2.0])
         with pytest.raises(ValidationError):
             ema_smooth(run, half_life=bad)
-
-
-class TestDownsample:
-    def test_keeps_every_kth_from_first(self):
-        run = make_run([100, 200, 300, 400, 500], [5, 4, 3, 2, 1])
-        out = downsample_run(run, 2)
-        steps, _, _ = out.split_arrays("train")
-        np.testing.assert_array_equal(steps, [100, 300, 500])
-
-    def test_stride_one_is_identity(self):
-        run = make_run([100, 200], [3.0, 2.0])
-        assert downsample_run(run, 1) is run
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
-    def test_rejects_bad_stride(self, bad):
-        run = make_run([100, 200], [3.0, 2.0])
-        with pytest.raises(ValidationError):
-            downsample_run(run, bad)
