@@ -10,7 +10,7 @@ class DomainError(ScalingLawError, ValueError):
 
 
 class SolverError(ScalingLawError, RuntimeError):
-    """A numerical routine failed to bracket or converge on a root."""
+    """A numerical routine failed to converge on a root, or to resolve its grid."""
 
 
 class InsufficientDataError(ScalingLawError, ValueError):

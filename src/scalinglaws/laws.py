@@ -12,7 +12,7 @@ size, and B the batch size in tokens:
 
 Substituting the last relation into the second gives an implicit
 equation for the loss reached by a run at finite batch size, solved
-here by bisection. Scale constants are huge (n_c ~ 1e14 parameters,
+here by Newton's method. Scale constants are huge (n_c ~ 1e14 parameters,
 b_star ~ 1e8 tokens), so every power is evaluated in log space.
 
 All functions broadcast over numpy arrays and return scalars for
@@ -29,12 +29,9 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 
-# bisection bracket for the implicit loss equation; the lower edge is far
-# below any realizable loss and the upper edge expands by doubling
-_BRACKET_LO = 1e-9
-_BRACKET_HI = 10.0
-_MAX_DOUBLINGS = 40
-_MAX_BISECTIONS = 200
+# Newton steps allowed to the loss root; extreme inputs (batches 1e-3 to
+# 1e30 tokens) need well under 40
+_MAX_NEWTON_STEPS = 100
 
 CONSTANT_NAMES = ("n_c", "alpha_n", "s_c", "alpha_s", "b_star", "alpha_b")
 # every exponent (alpha_*) lies in (0, EXPONENT_LIMIT)
@@ -210,21 +207,43 @@ def tradeoff_token_ratio(step_ratio) -> float | np.ndarray:
     return _scalarize(1.0 + 1.0 / (step_ratio - 1.0))
 
 
+def _equation_terms(c: ScalingConstants, n, steps, batch_tokens):
+    """Validated, broadcast loss-independent parts of the loss equation."""
+    n, steps, batch_tokens = np.broadcast_arrays(
+        _validated("n", n), _validated("steps", steps), _validated("batch_tokens", batch_tokens)
+    )
+    size_term = np.exp(c.alpha_n * (math.log(c.n_c) - np.log(n)))
+    step_base = c.alpha_s * (math.log(c.s_c) - np.log(steps))
+    w_base = math.log(c.b_star) - np.log(batch_tokens)
+    return size_term, step_base, w_base
+
+
+def _loss_equation(c: ScalingConstants, loss, size_term, step_base, w_base):
+    """Residual of the finite-batch loss equation at ``loss``, and its slope.
+
+    The one place the equation is written. With w = ln(B_crit(loss) / B),
+    the step term (s_c / S_min) ** alpha_s is exp(step_base + alpha_s *
+    ln(1 + e**w)), and the slope is
+    -1 - step_term * (alpha_s / alpha_b) * sigmoid(w) / loss.
+    """
+    w = w_base - np.log(loss) / c.alpha_b
+    step_term = np.exp(step_base + c.alpha_s * _log1p_exp(w))
+    residual = size_term + step_term - loss
+    slope = -step_term * (c.alpha_s / c.alpha_b) * _sigmoid(w) / loss - 1.0
+    return residual, slope
+
+
 def implicit_residual(c: ScalingConstants, loss, n, steps, batch_tokens) -> float | np.ndarray:
     """Residual of the finite-batch loss equation at a candidate loss.
 
     Zero exactly at the loss the law predicts for a run of ``n``
     parameters after ``steps`` steps at batch ``batch_tokens``. Strictly
-    decreasing in the candidate loss, which is what makes bisection safe.
+    decreasing and convex in the candidate loss, which is what makes
+    Newton's method from below the root safe.
     """
     loss = _validated("loss", loss)
-    n = _validated("n", n)
-    steps = _validated("steps", steps)
-    batch_tokens = _validated("batch_tokens", batch_tokens)
-    size_term = np.exp(c.alpha_n * (math.log(c.n_c) - np.log(n)))
-    w = math.log(c.b_star) - np.log(batch_tokens) - np.log(loss) / c.alpha_b
-    step_term = np.exp(c.alpha_s * (math.log(c.s_c) - np.log(steps)) + c.alpha_s * _log1p_exp(w))
-    return _scalarize(size_term + step_term - loss)
+    residual, _ = _loss_equation(c, loss, *_equation_terms(c, n, steps, batch_tokens))
+    return _scalarize(residual)
 
 
 def implicit_residual_derivative(c: ScalingConstants, loss, n, steps, batch_tokens) -> float | np.ndarray:
@@ -234,22 +253,22 @@ def implicit_residual_derivative(c: ScalingConstants, loss, n, steps, batch_toke
     target directly and shrinks the batch penalty.
     """
     loss = _validated("loss", loss)
-    n = _validated("n", n)
-    steps = _validated("steps", steps)
-    batch_tokens = _validated("batch_tokens", batch_tokens)
-    w = math.log(c.b_star) - np.log(batch_tokens) - np.log(loss) / c.alpha_b
-    step_term = np.exp(c.alpha_s * (math.log(c.s_c) - np.log(steps)) + c.alpha_s * _log1p_exp(w))
-    return _scalarize(-step_term * (c.alpha_s / c.alpha_b) * _sigmoid(w) / loss - 1.0)
+    _, slope = _loss_equation(c, loss, *_equation_terms(c, n, steps, batch_tokens))
+    return _scalarize(slope)
 
 
 def solve_loss(c: ScalingConstants, n, steps, batch_tokens, tol: float = 1e-10) -> float | np.ndarray:
-    """Loss reached by a run at finite batch size, by bisection.
+    """Loss reached by a run at finite batch size, by Newton's method.
 
     Solves the implicit equation linking loss, model size, steps, and
     batch size. The residual is strictly decreasing in the loss, so the
-    root is unique. The default bracket [1e-9, 10] covers realizable
-    language-model losses; the upper edge doubles as needed for tiny
-    models or very short runs.
+    root is unique. Newton starts at the unbounded-batch loss
+    L(N) + (s_c / S) ** alpha_s, where the residual is positive. The
+    residual is also convex in the loss, so every Newton step lands at
+    or below the root and the iterates climb to it without overshooting:
+    no bracket is needed. Each point stops at its first iterate whose
+    residual is within ``tol``; the others keep stepping, up to a cap of
+    100 steps.
 
     The law behind this equation was fitted where the step-law term is
     still meaningful; predictions at batch sizes far above the critical
@@ -260,62 +279,30 @@ def solve_loss(c: ScalingConstants, n, steps, batch_tokens, tol: float = 1e-10) 
         n: parameter count, scalar or array.
         steps: optimization steps taken.
         batch_tokens: batch size in tokens.
-        tol: absolute residual tolerance, in (0, 1e-3].
+        tol: absolute residual tolerance, a real number in (0, 1e-3].
 
     Returns:
         Loss in nats for which the implicit residual is within ``tol``
         of zero, matching the broadcast shape of the inputs.
 
     Raises:
-        SolverError: if the bracket cannot be established or the
-            residual tolerance is not met.
+        SolverError: if some residual is still above ``tol`` after the
+            step cap, e.g. for a tolerance rounding cannot meet.
         DomainError: on non-positive inputs or a tolerance outside
             (0, 1e-3].
     """
-    if not (isinstance(tol, (int, float)) and 0 < tol <= 1e-3):
-        raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    n = _validated("n", n)
-    steps = _validated("steps", steps)
-    batch_tokens = _validated("batch_tokens", batch_tokens)
-    n, steps, batch_tokens = np.broadcast_arrays(n, steps, batch_tokens)
-    shape = n.shape
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol <= 1e-3):
+        raise DomainError(f"tol must be a real number in (0, 1e-3], got {tol!r}")
+    size_term, step_base, w_base = _equation_terms(c, n, steps, batch_tokens)
 
-    # same math as implicit_residual, with the loss-independent parts hoisted
-    size_term = np.exp(c.alpha_n * (math.log(c.n_c) - np.log(n)))
-    step_base = c.alpha_s * (math.log(c.s_c) - np.log(steps))
-    w_base = math.log(c.b_star) - np.log(batch_tokens)
-
-    def residual(loss):
-        w = w_base - np.log(loss) / c.alpha_b
-        return size_term + np.exp(step_base + c.alpha_s * _log1p_exp(w)) - loss
-
-    lo = np.full(shape, _BRACKET_LO)
-    hi = np.full(shape, _BRACKET_HI)
-    if np.any(np.asarray(residual(lo)) <= 0):
-        raise SolverError("loss root lies below the lower bracket edge")
-    f_hi = np.asarray(residual(hi))
-    for _ in range(_MAX_DOUBLINGS):
-        unbracketed = f_hi > 0
-        if not np.any(unbracketed):
-            break
-        hi = np.where(unbracketed, hi * 2.0, hi)
-        f_hi = np.asarray(residual(hi))
-    if np.any(f_hi > 0):
-        raise SolverError(f"could not bracket the loss root after {_MAX_DOUBLINGS} doublings")
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECTIONS):
-        f_mid = np.asarray(residual(mid))
-        if np.all(np.abs(f_mid) <= tol):
-            break
-        above = f_mid > 0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
-    else:
-        f_mid = np.asarray(residual(mid))
-        if np.any(np.abs(f_mid) > tol):
-            raise SolverError(
-                f"residual stayed above {tol!r} after {_MAX_BISECTIONS} bisections"
-            )
-    return _scalarize(mid)
+    # the residual is convex: each factor of the slope's step part (the step
+    # term, sigmoid(w), 1 / loss) is positive and decreasing in the loss, so
+    # a tangent lies below the curve and no step from left of the root passes it
+    loss = size_term + np.exp(step_base)
+    for _ in range(_MAX_NEWTON_STEPS):
+        residual, slope = _loss_equation(c, loss, size_term, step_base, w_base)
+        open_ = ~(np.abs(residual) <= tol)  # a NaN residual stays open
+        if not open_.any():
+            return _scalarize(loss)
+        loss = np.where(open_, loss - residual / slope, loss)
+    raise SolverError(f"residual stayed above {tol!r} after {_MAX_NEWTON_STEPS} Newton steps")

@@ -25,6 +25,7 @@ ln C = ln C_c - ln(L) / alpha_c.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -110,6 +111,13 @@ class DatasetComparison:
     by_budget_loss: list[str]
 
 
+def _nonnegative_real(name: str, value) -> None:
+    """Require zero or what ``positive_real`` accepts: numpy reals pass,
+    bools, NaN and numbers beyond the float range do not."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and value == 0):
+        positive_real(f"{name}, if not 0,", value)
+
+
 def budget_exponent(c: ScalingConstants) -> float:
     """Exponent of loss against compute on the optimal frontier."""
     return 1.0 / (1.0 / c.alpha_s + 1.0 / c.alpha_b + 1.0 / c.alpha_n)
@@ -188,13 +196,17 @@ def verify_allocation(
     minimum.
 
     Args:
-        cells_per_decade: grid resolution; with span_decades it sets the
-            point count. A degenerate grid of one point is allowed.
-        span_decades: total width of the scanned size range, in decades.
+        cells_per_decade: grid resolution, an int >= 0; with span_decades
+            it sets the point count. A degenerate grid of one point is
+            allowed.
+        span_decades: total width of the scanned size range, in decades,
+            a finite real >= 0. A knob outside these is a DomainError.
     """
+    if not isinstance(cells_per_decade, numbers.Integral):
+        raise DomainError(f"cells_per_decade must be an int, got {cells_per_decade!r}")
+    _nonnegative_real("cells_per_decade", cells_per_decade)
+    _nonnegative_real("span_decades", span_decades)
     plan = optimal_allocation(c, budget)
-    if cells_per_decade < 0 or span_decades < 0:
-        raise DomainError("grid resolution and span must be non-negative")
     count = int(round(cells_per_decade * span_decades)) + 1
     half = 0.5 * span_decades * math.log(10.0)
     ln_n = math.log(plan.n_opt) + np.linspace(-half, half, count)
@@ -301,10 +313,7 @@ def recommend_batch(c: ScalingConstants, loss, time_weight: float = 1.0) -> floa
     A zero weight means compute is all that matters; the optimum is the
     vanishing-batch limit, returned as 0.0 with a warning.
     """
-    if isinstance(time_weight, bool) or not (
-        isinstance(time_weight, (int, float)) and math.isfinite(time_weight) and time_weight >= 0
-    ):
-        raise DomainError(f"time_weight must be a finite int or float >= 0, got {time_weight!r}")
+    _nonnegative_real("time_weight", time_weight)
     if time_weight == 0:
         warnings.warn(
             "time_weight 0 has no finite optimum; batch should be as small "

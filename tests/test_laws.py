@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalinglaws import (
     C4_CONSTANTS,
@@ -29,6 +31,18 @@ from scalinglaws import (
 
 C4 = C4_CONSTANTS
 MIXED = MIXED_CONSTANTS
+
+
+# random constants over the acceptance gates' ranges; scales are drawn as
+# decimal exponents
+constants_strategy = st.builds(
+    lambda n_c, alpha_n, s_c, alpha_s, b_star, alpha_b: ScalingConstants(
+        n_c=10**n_c, alpha_n=alpha_n, s_c=10**s_c, alpha_s=alpha_s,
+        b_star=10**b_star, alpha_b=alpha_b,
+    ),
+    st.floats(13.0, 18.0), st.floats(0.05, 0.1), st.floats(2.7, 3.7),
+    st.floats(0.5, 0.8), st.floats(8.0, 12.0), st.floats(0.1, 0.3),
+)
 
 
 def random_constants(rng) -> ScalingConstants:
@@ -237,6 +251,45 @@ class TestSolveLoss:
         wide = solve_loss(C4, 1e9, 1e4, 1e12)
         narrow = solve_loss(C4, 1e9, 1e4, 1e4)
         assert narrow > wide
+
+    def test_numpy_tolerance_accepted(self):
+        loose = solve_loss(C4, 1e9, 1e5, 5e5, tol=np.float32(1e-6))
+        assert abs(implicit_residual(C4, loose, 1e9, 1e5, 5e5)) <= 1e-6
+        assert math.isfinite(solve_loss(C4, 1e9, 1e5, 5e5, tol=1e-3))
+        for bad in (True, np.float64(math.nan)):
+            with pytest.raises(DomainError):
+                solve_loss(C4, 1e9, 1e5, 5e5, tol=bad)
+
+    def test_unmeetable_tolerance_names_cap(self):
+        # a residual that does not round to exactly zero can never meet
+        # tol=1e-300, so the solver runs into its step cap
+        with pytest.raises(SolverError, match="100 Newton steps"):
+            solve_loss(C4, np.geomspace(1e6, 1e10, 50), 1e5, 5e5, tol=1e-300)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        c=constants_strategy, log_n=st.floats(6.0, 11.0), log_s=st.floats(0.0, 2.0),
+        log_b=st.floats(-1.5, 1.5),
+    )
+    def test_monotone_property(self, c, log_n, log_s, log_b):
+        # batches within a decade and a half of critical, as in
+        # test_monotone_in_each_input, so the batch effect is resolvable
+        n, s = 10**log_n, c.s_c * 10**log_s
+        b = critical_batch(c, loss_at_min_steps(c, n, s)) * 10**log_b
+        base = solve_loss(c, n, s, b)
+        assert solve_loss(c, 2 * n, s, b) < base
+        assert solve_loss(c, n, 2 * s, b) < base
+        assert solve_loss(c, n, s, 2 * b) < base
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        c=constants_strategy, log_n=st.floats(5.0, 12.0), log_s=st.floats(0.0, 4.0),
+        log_b=st.floats(-3.0, 30.0), log_tol=st.floats(-10.0, -3.0),
+    )
+    def test_residual_within_tolerance_property(self, c, log_n, log_s, log_b, log_tol):
+        n, s, b, tol = 10**log_n, c.s_c * 10**log_s, 10**log_b, 10**log_tol
+        loss = solve_loss(c, n, s, b, tol=tol)
+        assert abs(implicit_residual(c, loss, n, s, b)) <= tol
 
     @pytest.mark.parametrize("bad_tol", [0.0, -1e-6, 1e-2, math.nan])
     def test_rejects_bad_tolerance(self, bad_tol):

@@ -120,9 +120,23 @@ class TestVerifyAllocation:
         assert check.n_grid.size == 1
         assert check.within_one_cell
 
-    def test_rejects_negative_resolution(self):
+    def test_numpy_int_resolution_accepted(self):
+        check = verify_allocation(C4, 1e21, cells_per_decade=np.int64(8), span_decades=np.float32(2.0))
+        assert check.n_grid.size == 17
+
+    @pytest.mark.parametrize("knobs", [
+        pytest.param(dict(cells_per_decade=-1), id="negative-cells"),
+        pytest.param(dict(cells_per_decade=True), id="bool-cells"),
+        pytest.param(dict(cells_per_decade=2.5), id="fractional-cells"),
+        pytest.param(dict(span_decades=-1.0), id="negative-span"),
+        pytest.param(dict(span_decades=math.nan), id="nan-span"),
+        pytest.param(dict(span_decades=math.inf), id="inf-span"),
+        pytest.param(dict(span_decades=True), id="bool-span"),
+        pytest.param(dict(span_decades=10**400), id="int-beyond-float-span"),
+    ])
+    def test_rejects_bad_grid_knobs(self, knobs):
         with pytest.raises(DomainError):
-            verify_allocation(C4, 1e21, cells_per_decade=-1)
+            verify_allocation(C4, 1e21, **knobs)
 
 
 class TestMinCostHelpers:
@@ -221,10 +235,17 @@ class TestPredictTrajectory:
             predict_trajectory(C4, True, 1e6, [10.0, 100.0])
 
     def test_overly_fine_grid_is_solver_error(self):
-        # neighboring losses collapse to the bisection tolerance
-        steps = 1e4 * (1.0 + 1e-13 * np.arange(3))
+        # neighboring losses differ by less than one rounding step
+        steps = 1e4 * (1.0 + 1e-15 * np.arange(3))
         with pytest.raises(SolverError, match="strictly decreasing"):
             predict_trajectory(C4, 1e8, 1e6, steps)
+
+    def test_fine_grid_now_resolved(self):
+        # losses fall by about 3e-14 per point, far below the residual
+        # tolerance, and Newton still orders them
+        steps = 1e4 * (1.0 + 1e-13 * np.arange(3))
+        losses = predict_trajectory(C4, 1e8, 1e6, steps).losses
+        assert np.all(np.diff(losses) < 0)
 
 
 class TestRecommendBatch:
@@ -243,6 +264,11 @@ class TestRecommendBatch:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             recommend_batch(C4, 2.6, time_weight=-1.0)
+
+    def test_numpy_weight_accepted(self):
+        assert recommend_batch(C4, 2.6, np.float32(4.0)) == pytest.approx(
+            2.0 * critical_batch(C4, 2.6), rel=1e-12
+        )
 
     @pytest.mark.parametrize("weight", [math.nan, True, False])
     def test_non_real_weight_rejected(self, weight):
