@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ScalingLawError, ValidationError
@@ -31,6 +32,7 @@ from .io import (
     write_run_log,
 )
 from .planning import (
+    MAX_GRID_POINTS,
     min_budget_for_loss,
     min_steps_for_loss,
     min_tokens_for_loss,
@@ -96,8 +98,8 @@ def _parse_steps(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ValidationError(f"bad --steps range {text!r}") from None
-        if start <= 0 or stop <= start or count < 2:
-            raise ValidationError(f"--steps range needs 0 < start < stop and count >= 2")
+        if not (0 < start < stop < math.inf and 2 <= count <= MAX_GRID_POINTS):
+            raise ValidationError(f"--steps range needs 0 < start < stop < inf, 2 <= count <= {MAX_GRID_POINTS}")
         import numpy as np
 
         return list(np.geomspace(start, stop, count))
@@ -114,7 +116,7 @@ def _fit_options(args, **extra) -> FitOptions:
         trim=_trim_from(args),
         split=args.split,
         smooth_half_life=args.smooth_half_life,
-        contour_targets=tuple(_parse_float_list(args.targets, "--targets")) if args.targets else None,
+        contour_targets=_parse_float_list(args.targets, "--targets") if args.targets else None,
         num_targets=args.num_targets,
         refine_batch_law=args.refine,
         **extra,

@@ -35,10 +35,22 @@ from .laws import (
     CONSTANT_NAMES,
     EXPONENT_LIMIT,
     ScalingConstants,
+    integer_at_least,
     loss_at_convergence,
     positive_real,
 )
-from .records import ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
+from .records import SPLITS, ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
+
+# Post-correction pairs need an excess steps/s_min - 1 above this: near
+# convergence, loss noise enters the excess multiplied by steps/s_min/excess,
+# and a cut at zero would keep only upward fluctuations, biasing the pool.
+_MIN_EXCESS = 0.25
+# Scan runs are averaged over a centered window of this many samples before
+# pairing: one measured loss sets both coordinates of a pair, so raw noise
+# biases the refit slope as any error in a regressor does. A centered window
+# adds no lag, and stays narrow: over a convex curve it overstates the loss
+# by the width squared.
+_DENOISE_WINDOW = 11
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +134,23 @@ class BatchDiagnostic:
     threshold: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the full fitting pipeline.
+    """Knobs of the full fitting pipeline, frozen; ValidationError names a bad one.
 
     Attributes:
-        trim: warm-up trimming applied to every trajectory.
-        split: preferred split for loss values; falls back to whatever
-            the run has.
+        trim: warm-up trimming applied to every trajectory, a WarmupTrim.
+        split: preferred split for loss values, one of SPLITS; falls
+            back to whatever the run has.
         smooth_half_life: EMA half-life in steps applied to scan runs
             before contour extraction, None to disable.
-        contour_targets: explicit contour losses; None selects
-            num_targets values spanning the scan's common loss range.
-        num_targets: contour count for automatic target selection.
+        contour_targets: explicit contour losses, kept as a tuple; None
+            selects num_targets values spanning the scan's common loss range.
+        num_targets: contour count for automatic target selection, >= 1.
         target_inset: fraction of the common loss range kept clear at
-            both ends when selecting targets automatically.
+            both ends when selecting targets automatically, in [0, 0.5).
         refine_batch_law: run the Gauss-Newton refinement of stage 4.
         post_correct: refit the batch law on pooled analytic pairs.
-        meta: extra provenance merged into the report's meta.
     """
 
     trim: WarmupTrim = field(default_factory=WarmupTrim)
@@ -150,7 +161,26 @@ class FitOptions:
     target_inset: float = 0.05
     refine_batch_law: bool = False
     post_correct: bool = True
-    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.trim, WarmupTrim):
+            raise ValidationError(f"trim must be a WarmupTrim, got {self.trim!r}")
+        if not (isinstance(self.split, str) and self.split in SPLITS):
+            raise ValidationError(f"split must be one of {SPLITS}, got {self.split!r}")
+        if self.smooth_half_life is not None:
+            positive_real("smooth_half_life", self.smooth_half_life, error=ValidationError)
+        if self.contour_targets is not None:
+            try:  # a tuple, so no caller can change the checked targets
+                object.__setattr__(self, "contour_targets", tuple(self.contour_targets))
+            except TypeError:
+                raise ValidationError(f"contour_targets must be a sequence, got {self.contour_targets!r}") from None
+            for target in self.contour_targets:
+                positive_real("each contour target", target, error=ValidationError)
+        integer_at_least("num_targets", self.num_targets, 1, ValidationError)
+        positive_real("target_inset", self.target_inset, 0.5, ValidationError, zero=True)
+        for name in ("refine_batch_law", "post_correct"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
 @dataclass(kw_only=True)
@@ -232,6 +262,13 @@ def _power_law_from_logs(stage: StageFit, what: str) -> PowerLawFit:
 def _pick_split(run: RunRecord, preferred: str) -> str:
     names = run.splits()
     return preferred if preferred in names else names[0]
+
+
+def _one_model_size(runs) -> None:
+    n0 = runs[0].n_params
+    for run in runs[1:]:
+        if abs(run.n_params - n0) > 1e-9 * n0:
+            raise ValidationError(f"runs mix model sizes {n0!r} and {run.n_params!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +380,7 @@ def default_contour_targets(
     runs = list(runs)
     if not runs:
         raise InsufficientDataError("no runs to select contour targets from")
-    if num_targets < 1:
-        raise ValidationError(f"num_targets must be >= 1, got {num_targets!r}")
+    integer_at_least("num_targets", num_targets, 1, ValidationError)
     lo = -math.inf
     hi = math.inf
     for run in runs:
@@ -421,12 +457,7 @@ def extract_contours(
     runs = list(runs)
     if not runs:
         raise InsufficientDataError("no scan runs given")
-    n0 = runs[0].n_params
-    for run in runs[1:]:
-        if abs(run.n_params - n0) > 1e-9 * n0:
-            raise ValidationError(
-                f"scan runs mix model sizes {n0!r} and {run.n_params!r}"
-            )
+    _one_model_size(runs)
     curves = [run.split_arrays(_pick_split(run, split)) for run in runs]
     contours = []
     for target in np.asarray(targets, dtype=float):
@@ -578,16 +609,14 @@ def post_correct_batch_law(
     contours=(),
     split: str = "test",
     refine: bool = False,
-    min_excess: float = 0.25,
-    denoise_window: int = 11,
 ) -> PostCorrection:
     """Refit the batch law on measured plus analytically derived pairs.
 
     Stages 1 and 2 pin the unbounded-batch step count for any observed
     loss, so every sample of every scan run yields its own critical
-    batch estimate: b_crit = batch * (steps / s_min(loss) - 1). Pooling
-    these with the per-contour estimates and refitting usually sharpens
-    (b_star, alpha_b).
+    batch estimate, b_crit = batch * (steps / s_min(loss) - 1), denoised
+    and cut as _DENOISE_WINDOW and _MIN_EXCESS say. Pooling these with the
+    per-contour estimates and refitting usually sharpens (b_star, alpha_b).
 
     Args:
         candidate: complete constants from the preceding stages.
@@ -595,20 +624,6 @@ def post_correct_batch_law(
         contours: ContourFit sequence whose pairs join the pool.
         split: preferred split to read losses from.
         refine: passed through to the pooled refit.
-        min_excess: smallest steps/s_min - 1 a sample may have. Near
-            convergence the excess falls toward b_crit/batch, loss noise
-            enters it multiplied by steps/s_min/excess, and truncating
-            at zero would keep only upward fluctuations, so samples with
-            little excess bias the pool instead of informing it.
-        denoise_window: width in samples of a centered mean taken per
-            run before pairing; 0 disables. The same measured loss sets
-            both coordinates of a pair, amplified through s_min on one
-            side, so raw noise does not average out of the refit slope
-            but biases it the way measurement error always dilutes a
-            regression. A symmetric window suppresses the noise without
-            the lag a one-sided smoother would add; it cannot grow
-            without bound, since a centered mean over a convex stretch
-            of curve overstates the loss by the square of the width.
 
     Returns:
         PostCorrection with the refit values and the pooled residual
@@ -620,17 +635,17 @@ def post_correct_batch_law(
     analytic = 0
     for run in scan_runs:
         steps, _, losses = run.split_arrays(_pick_split(run, split))
-        if denoise_window > 1 and losses.size >= 2 * denoise_window:
-            kernel = np.full(denoise_window, 1.0 / denoise_window)
+        if losses.size >= 2 * _DENOISE_WINDOW:
+            kernel = np.full(_DENOISE_WINDOW, 1.0 / _DENOISE_WINDOW)
             losses = np.convolve(losses, kernel, mode="valid")
-            half = denoise_window // 2
+            half = _DENOISE_WINDOW // 2
             steps = steps[half : half + losses.size]
         floor = loss_at_convergence(candidate, run.n_params)
         excess = losses - floor
         with np.errstate(invalid="ignore", divide="ignore"):
             s_min = candidate.s_c * np.where(excess > 0, excess, np.nan) ** (-1.0 / candidate.alpha_s)
             ratio = steps / s_min - 1.0
-        keep = np.isfinite(ratio) & (ratio > min_excess)
+        keep = np.isfinite(ratio) & (ratio > _MIN_EXCESS)
         if np.any(keep):
             analytic += int(np.sum(keep))
             pooled_l.append(losses[keep])
@@ -657,6 +672,16 @@ def post_correct_batch_law(
 # ---------------------------------------------------------------------------
 
 
+def _largest_gap(steps, losses, ref_steps, ref_losses) -> float | None:
+    """Largest |loss - reference| over the steps inside the reference's
+    step range, the reference interpolated in log step; None if no step is."""
+    inside = (steps >= ref_steps[0]) & (steps <= ref_steps[-1])
+    if not np.any(inside):
+        return None
+    interp = np.interp(np.log(steps[inside]), np.log(ref_steps), ref_losses)
+    return float(np.abs(interp - losses[inside]).max())
+
+
 def diagnose_infinite_data(
     run: RunRecord,
     threshold: float = 0.01,
@@ -665,8 +690,8 @@ def diagnose_infinite_data(
     """Check whether a run's train/test gap is small enough to ignore.
 
     Args:
-        run: a run carrying both splits; test losses are interpolated
-            onto the train steps when the grids differ.
+        run: a run carrying both splits; test losses are interpolated,
+            in log step, onto the train steps.
         threshold: largest tolerable absolute gap in nats.
 
     Raises:
@@ -679,15 +704,9 @@ def diagnose_infinite_data(
         )
     tr_steps, _, tr_losses = trimmed.split_arrays("train")
     te_steps, _, te_losses = trimmed.split_arrays("test")
-    if tr_steps.size == te_steps.size and np.array_equal(tr_steps, te_steps):
-        gaps = np.abs(te_losses - tr_losses)
-    else:
-        inside = (tr_steps >= te_steps[0]) & (tr_steps <= te_steps[-1])
-        if not np.any(inside):
-            raise DiagnosticError(f"run {run.run_id!r}: splits share no step range")
-        interp = np.interp(np.log(tr_steps[inside]), np.log(te_steps), te_losses)
-        gaps = np.abs(interp - tr_losses[inside])
-    max_gap = float(gaps.max())
+    max_gap = _largest_gap(tr_steps, tr_losses, te_steps, te_losses)
+    if max_gap is None:
+        raise DiagnosticError(f"run {run.run_id!r}: splits share no step range")
     return DataDiagnostic(max_gap, threshold, max_gap < threshold)
 
 
@@ -714,11 +733,8 @@ def diagnose_infinite_batch(
     runs = list(runs)
     if len(runs) < 2:
         raise InsufficientDataError("batch diagnostic needs at least two runs")
-    n0 = runs[0].n_params
+    _one_model_size(runs)
     batches = [r.batch_tokens for r in runs]
-    for run in runs[1:]:
-        if abs(run.n_params - n0) > 1e-9 * n0:
-            raise ValidationError(f"runs mix model sizes {n0!r} and {run.n_params!r}")
     if np.any(np.diff(batches) <= 0):
         raise ValidationError(f"batches must be strictly increasing, got {batches!r}")
     curves = []
@@ -729,12 +745,8 @@ def diagnose_infinite_batch(
     deviations = []
     stationary = None
     for i in range(len(runs) - 1):
-        s_small, l_small = curves[i]
-        s_large, l_large = curves[i + 1]
-        lo = max(s_small[0], s_large[0])
-        hi = min(s_small[-1], s_large[-1])
-        inside = (s_small >= lo) & (s_small <= hi)
-        if not np.any(inside):
+        dev = _largest_gap(*curves[i], *curves[i + 1])
+        if dev is None:
             warnings.warn(
                 f"runs at batches {batches[i]:g} and {batches[i + 1]:g} share no steps",
                 ScalingLawWarning,
@@ -742,8 +754,6 @@ def diagnose_infinite_batch(
             )
             deviations.append((batches[i], batches[i + 1], math.inf))
             continue
-        interp = np.interp(np.log(s_small[inside]), np.log(s_large), l_large)
-        dev = float(np.abs(interp - l_small[inside]).max())
         deviations.append((batches[i], batches[i + 1], dev))
         if stationary is None and dev < threshold:
             stationary = batches[i]
@@ -818,7 +828,6 @@ def fit_full_pipeline(
         "converged_runs": len(converged),
         "scan_runs": len(scan_runs),
     }
-    meta.update(opts.meta)
     # stages 3 and 4 fill in the batch law
     report = FitReport(
         n_c=size_fit.scale,

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DomainError, FormatVersionError, ParseError, ValidationError
@@ -271,38 +271,19 @@ def _constant_values(holder) -> dict:
     return {name: getattr(holder, name) for name in CONSTANT_NAMES}
 
 
-def _stage_dict(stage) -> dict:
-    return {
-        "slope": stage.slope,
-        "intercept": stage.intercept,
-        "r_squared": stage.r_squared,
-        "residual_std": stage.residual_std,
-        "count": stage.count,
-    }
-
-
 def document_from_report(report: FitReport) -> ConstantsDocument:
     """Build the serializable document for a pipeline report."""
     diagnostics: dict = {
-        "converged_stage": _stage_dict(report.converged_stage),
-        "step_stage": _stage_dict(report.step_stage),
-        "contours": [
-            {
-                "loss_target": f.loss_target,
-                "s_min_hat": f.s_min_hat,
-                "e_min_hat": f.e_min_hat,
-                "b_crit_hat": f.b_crit_hat,
-                "point_count": f.point_count,
-                "residual_rms": f.residual_rms,
-            }
-            for f in report.contours
-        ],
+        "converged_stage": asdict(report.converged_stage),
+        "step_stage": asdict(report.step_stage),
+        "contours": [asdict(f) for f in report.contours],
         "complete": report.complete,
         "warnings": list(report.warnings),
     }
     if report.batch_stage is not None:
-        diagnostics["batch_stage"] = _stage_dict(report.batch_stage)
+        diagnostics["batch_stage"] = asdict(report.batch_stage)
     if report.post_correction is not None:
+        # not asdict: the batch law is in the constants block already
         p = report.post_correction
         diagnostics["post_correction"] = {
             "pair_count": p.pair_count,

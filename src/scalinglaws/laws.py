@@ -38,22 +38,28 @@ CONSTANT_NAMES = ("n_c", "alpha_n", "s_c", "alpha_s", "b_star", "alpha_b")
 EXPONENT_LIMIT = 2.0
 
 
-def positive_real(name: str, value, below: float = math.inf, error=DomainError):
-    """Require a positive finite real scalar below ``below``.
+def positive_real(name: str, value, below: float = math.inf, error=DomainError, zero=False):
+    """Require a finite real scalar in (0, below), or in [0, below) if ``zero``.
 
     numpy reals pass; bools, strings, arrays, NaN and numbers beyond the
     float range do not. Raises ``error`` naming the value.
     """
     try:
-        # the float comparison also rejects NaN and infinities
+        # the float comparisons also reject NaN and infinities
         ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and 0 < float(value) < below)
+              and (0 <= float(value) if zero else 0 < float(value)) and float(value) < below)
     except OverflowError:  # an integer beyond any float
         ok = False
     if not ok:
-        what = (f"a real number in (0, {below:g})" if below < math.inf
-                else "a positive finite real number")
+        what = (f"a real number in {'[' if zero else '('}0, {below:g})" if below < math.inf
+                else f"a {'non-negative' if zero else 'positive'} finite real number")
         raise error(f"{name} must be {what}, got {value!r}")
+
+
+def integer_at_least(name: str, value, least: int, error=DomainError):
+    """Require an integer >= ``least``; numpy integers pass, bools and floats do not."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_constants(holder, names=CONSTANT_NAMES) -> None:

@@ -25,7 +25,6 @@ ln C = ln C_c - ln(L) / alpha_c.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .errors import (
 from .laws import (
     ScalingConstants,
     critical_batch,
+    integer_at_least,
     loss_at_convergence,
     positive_real,
     solve_loss,
@@ -52,6 +52,10 @@ _FLOPS_FACTOR = 6.0
 
 # log budgets whose exponential is a normal double
 _LN_BUDGET_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+# most points a user-sized grid may hold (verify_allocation, predict
+# --steps): each point costs a loss solve and several float arrays
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,6 @@ class DatasetComparison:
     rows: list[ComparisonRow]
     by_converged_loss: list[str]
     by_budget_loss: list[str]
-
-
-def _nonnegative_real(name: str, value) -> None:
-    """Require zero or what ``positive_real`` accepts: numpy reals pass,
-    bools, NaN and numbers beyond the float range do not."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and value == 0):
-        positive_real(f"{name}, if not 0,", value)
 
 
 def budget_exponent(c: ScalingConstants) -> float:
@@ -197,17 +194,19 @@ def verify_allocation(
 
     Args:
         cells_per_decade: grid resolution, an int >= 0; with span_decades
-            it sets the point count. A degenerate grid of one point is
-            allowed.
+            it sets the point count, 1 to MAX_GRID_POINTS.
         span_decades: total width of the scanned size range, in decades,
             a finite real >= 0. A knob outside these is a DomainError.
     """
-    if not isinstance(cells_per_decade, numbers.Integral):
-        raise DomainError(f"cells_per_decade must be an int, got {cells_per_decade!r}")
-    _nonnegative_real("cells_per_decade", cells_per_decade)
-    _nonnegative_real("span_decades", span_decades)
+    integer_at_least("cells_per_decade", cells_per_decade, 0)
+    positive_real("span_decades", span_decades, zero=True)
+    try:
+        count = int(round(cells_per_decade * span_decades)) + 1
+    except OverflowError:  # a product beyond any float
+        count = math.inf
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"the grid would exceed MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     plan = optimal_allocation(c, budget)
-    count = int(round(cells_per_decade * span_decades)) + 1
     half = 0.5 * span_decades * math.log(10.0)
     ln_n = math.log(plan.n_opt) + np.linspace(-half, half, count)
     n_grid = np.exp(ln_n)
@@ -313,7 +312,7 @@ def recommend_batch(c: ScalingConstants, loss, time_weight: float = 1.0) -> floa
     A zero weight means compute is all that matters; the optimum is the
     vanishing-batch limit, returned as 0.0 with a warning.
     """
-    _nonnegative_real("time_weight", time_weight)
+    positive_real("time_weight", time_weight, zero=True)
     if time_weight == 0:
         warnings.warn(
             "time_weight 0 has no finite optimum; batch should be as small "

@@ -9,7 +9,6 @@ validated once, when a RunRecord is built; reshaping slices the store.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, fields, replace
 from typing import Callable
 
@@ -163,10 +162,8 @@ class WarmupTrim:
     final_fraction: float = 0.02
 
     def __post_init__(self):
-        if isinstance(self.min_step, bool) or not 0 <= self.min_step < math.inf:
-            raise ValidationError(f"min_step must be a finite real >= 0, got {self.min_step!r}")
-        if isinstance(self.final_fraction, bool) or not 0 <= self.final_fraction < 1:
-            raise ValidationError(f"final_fraction must be a real in [0, 1), got {self.final_fraction!r}")
+        positive_real("min_step", self.min_step, error=ValidationError, zero=True)
+        positive_real("final_fraction", self.final_fraction, 1.0, ValidationError, zero=True)
 
     def threshold(self, final_step: float) -> float:
         return max(self.min_step, self.final_fraction * final_step)

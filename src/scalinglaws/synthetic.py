@@ -7,13 +7,12 @@ generated in a batch. Runs are built as columns, then validated once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .laws import ScalingConstants, loss_at_convergence, solve_loss
+from .laws import ScalingConstants, integer_at_least, loss_at_convergence, positive_real, solve_loss
 from .records import SAMPLE_DTYPE, SPLITS, ConvergedRun, RunRecord
 
 NOISE_KINDS = ("none", "multiplicative-lognormal")
@@ -37,8 +36,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValidationError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
+        positive_real("sigma", self.sigma, error=ValidationError, zero=True)
+        integer_at_least("seed", self.seed, 0, ValidationError)
 
     def factors(self, count: int, stream: int = 0) -> np.ndarray:
         """Noise factors for one run, drawn from an independent sub-stream."""
@@ -60,10 +59,8 @@ class WarmupSpec:
     inflation: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length >= 0):
-            raise ValidationError(f"length must be >= 0, got {self.length!r}")
-        if not (math.isfinite(self.inflation) and self.inflation >= 0):
-            raise ValidationError(f"inflation must be >= 0, got {self.inflation!r}")
+        positive_real("length", self.length, error=ValidationError, zero=True)
+        positive_real("inflation", self.inflation, error=ValidationError, zero=True)
 
     def added(self, steps: np.ndarray) -> np.ndarray:
         if self.length == 0.0 or self.inflation == 0.0:
@@ -78,10 +75,8 @@ def _run_meta(c: ScalingConstants):
 
 
 def _step_grid(num_steps: int, log_every: int) -> np.ndarray:
-    if not isinstance(num_steps, int) or num_steps < 1:
-        raise ValidationError(f"num_steps must be a positive integer, got {num_steps!r}")
-    if not isinstance(log_every, int) or log_every < 1:
-        raise ValidationError(f"log_every must be a positive integer, got {log_every!r}")
+    integer_at_least("num_steps", num_steps, 1, ValidationError)
+    integer_at_least("log_every", log_every, 1, ValidationError)
     steps = np.arange(log_every, num_steps + 1, log_every, dtype=float)
     if steps.size == 0 or steps[-1] != num_steps:
         steps = np.append(steps, float(num_steps))
@@ -188,12 +183,10 @@ def gen_batch_scan(
         raise ValidationError("a batch scan needs at least two batch sizes")
     if len(set(batches)) != len(batches):
         raise ValidationError(f"duplicate batch sizes in {batches!r}")
-    if isinstance(num_steps, int):
-        per_batch = [num_steps] * len(batches)
-    else:
-        per_batch = [int(v) for v in num_steps]
-        if len(per_batch) != len(batches):
-            raise ValidationError("num_steps must be one value or one per batch")
+    # each entry reaches _step_grid as given, so a fraction is refused, not truncated
+    per_batch = [num_steps] * len(batches) if np.ndim(num_steps) == 0 else list(num_steps)
+    if len(per_batch) != len(batches):
+        raise ValidationError("num_steps must be one value or one per batch")
     order = np.argsort(batches)
     return [
         gen_trajectory(
@@ -222,8 +215,7 @@ def gen_converged_log(
     steps just index the tail. This is the file-shaped counterpart of a
     ConvergedRun, for pipelines that ingest everything as run logs.
     """
-    if not isinstance(samples, int) or samples < 1:
-        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
+    integer_at_least("samples", samples, 1, ValidationError)
     steps = start_step + step_spacing * np.arange(samples, dtype=float)
     level = loss_at_convergence(c, n)
     observed = level * noise.factors(samples, stream)

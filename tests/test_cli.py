@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from scalinglaws import (
     solve_loss,
     write_constants,
 )
-from scalinglaws.cli import main
+from scalinglaws.cli import _parse_steps, main
+from scalinglaws.planning import MAX_GRID_POINTS
 
 C4 = C4_CONSTANTS
 
@@ -93,6 +95,22 @@ class TestPredict:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["1:inf:10", "nan:10:5", "1:10:1", f"1:10:{MAX_GRID_POINTS + 1}"])
+    def test_steps_range_out_of_bounds_is_only_an_error_line(self, constants_path, capsys, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(
+                "predict", "--constants", constants_path,
+                "--n-params", "1e9", "--batch-tokens", "1e6", "--steps", spec,
+            )
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_steps_range_at_the_point_cap(self):
+        assert len(_parse_steps(f"1:1e6:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
 
     def test_missing_constants_file(self, tmp_path, capsys):
         rc = run_cli(

@@ -31,6 +31,7 @@ from scalinglaws import (
     solve_loss,
     verify_allocation,
 )
+from scalinglaws.planning import MAX_GRID_POINTS
 
 C4 = C4_CONSTANTS
 MIXED = MIXED_CONSTANTS
@@ -137,6 +138,16 @@ class TestVerifyAllocation:
     def test_rejects_bad_grid_knobs(self, knobs):
         with pytest.raises(DomainError):
             verify_allocation(C4, 1e21, **knobs)
+
+    def test_grid_at_the_point_cap(self):
+        check = verify_allocation(C4, 1e21, cells_per_decade=MAX_GRID_POINTS - 1, span_decades=1.0)
+        assert check.n_grid.size == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("cells", [MAX_GRID_POINTS, 10**400])
+    def test_grid_past_the_point_cap_rejected(self, cells):
+        # refused before any grid is allocated
+        with pytest.raises(DomainError, match="MAX_GRID_POINTS"):
+            verify_allocation(C4, 1e21, cells_per_decade=cells, span_decades=1.0)
 
 
 class TestMinCostHelpers:
