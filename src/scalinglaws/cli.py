@@ -13,6 +13,9 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .errors import ScalingLawError, ValidationError
 from .fitting import (
@@ -40,7 +43,7 @@ from .planning import (
     predict_trajectory,
     recommend_batch,
 )
-from .records import WarmupTrim
+from .records import SPLITS, WarmupTrim
 from .synthetic import NoiseSpec, WarmupSpec, gen_batch_scan, gen_converged_log, gen_trajectory
 
 FORMATS = ("table", "csv", "jsonl")
@@ -100,8 +103,6 @@ def _parse_steps(text: str) -> list[float]:
             raise ValidationError(f"bad --steps range {text!r}") from None
         if not (0 < start < stop < math.inf and 2 <= count <= MAX_GRID_POINTS):
             raise ValidationError(f"--steps range needs 0 < start < stop < inf, 2 <= count <= {MAX_GRID_POINTS}")
-        import numpy as np
-
         return list(np.geomspace(start, stop, count))
     return _parse_float_list(text, "--steps")
 
@@ -217,59 +218,47 @@ def cmd_scan(args) -> int:
     return 0
 
 
+# the flags each --kind needs
+_SIMULATE_NEEDS = {
+    "trajectory": ("n_params", "batch_tokens", "out"),
+    "scan": ("n_params", "batch_tokens", "out_dir"),
+    "converged": ("sizes", "out_dir"),
+}
+
+
 def cmd_simulate(args) -> int:
+    missing = [name for name in _SIMULATE_NEEDS[args.kind] if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        print(f"error: --kind {args.kind} needs {flags}", file=sys.stderr)
+        return 2
+    batches = [1e12]  # the converged tails' batch when --batch-tokens is unset
+    if args.batch_tokens is not None:
+        batches = _parse_float_list(args.batch_tokens, "--batch-tokens")
+    if len(batches) > 1 and args.kind != "scan":
+        print("error: only --kind scan takes several --batch-tokens values", file=sys.stderr)
+        return 2
     constants = read_constants(args.constants).constants()
     noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
-    warmup = WarmupSpec(length=args.warmup_steps, inflation=args.warmup_inflation)
-
+    curve = dict(noise=noise, log_every=args.log_every,
+                 warmup=WarmupSpec(length=args.warmup_steps, inflation=args.warmup_inflation))
     if args.kind == "trajectory":
-        if args.out is None or args.n_params is None or args.batch_tokens is None:
-            print("error: --kind trajectory needs --n-params, --batch-tokens, --out", file=sys.stderr)
-            return 2
-        batches = _parse_float_list(args.batch_tokens, "--batch-tokens")
-        if len(batches) != 1:
-            print("error: --kind trajectory takes a single --batch-tokens value", file=sys.stderr)
-            return 2
-        run = gen_trajectory(
-            constants, args.n_params, batches[0], args.num_steps,
-            noise=noise, warmup=warmup, log_every=args.log_every,
-        )
-        write_run_log(run, args.out)
-        print(args.out)
-        return 0
-
-    if args.out_dir is None:
-        print(f"error: --kind {args.kind} needs --out-dir", file=sys.stderr)
-        return 2
-    from pathlib import Path
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "scan":
-        if args.n_params is None or args.batch_tokens is None:
-            print("error: --kind scan needs --n-params and --batch-tokens", file=sys.stderr)
-            return 2
-        batches = _parse_float_list(args.batch_tokens, "--batch-tokens")
-        runs = gen_batch_scan(
-            constants, args.n_params, batches, args.num_steps,
-            noise=noise, warmup=warmup, log_every=args.log_every,
-        )
-        for run in runs:
-            path = out_dir / f"scan-b{run.batch_tokens:g}.jsonl"
-            write_run_log(run, path)
-            print(path)
-        return 0
-    # converged: plateau tails of runs already trained out
-    if args.sizes is None:
-        print("error: --kind converged needs --sizes", file=sys.stderr)
-        return 2
-    sizes = _parse_float_list(args.sizes, "--sizes")
-    batch = 1e12
-    if args.batch_tokens is not None:
-        batch = _parse_float_list(args.batch_tokens, "--batch-tokens")[0]
-    for i, n in enumerate(sizes):
-        run = gen_converged_log(constants, n, batch_tokens=batch, noise=noise, stream=i)
-        path = out_dir / f"converged-n{n:g}.jsonl"
+        run = gen_trajectory(constants, args.n_params, batches[0], args.num_steps, **curve)
+        written = [(args.out, run)]
+    else:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.kind == "scan":
+            runs = gen_batch_scan(constants, args.n_params, batches, args.num_steps, **curve)
+            written = [(out_dir / f"scan-b{run.batch_tokens:g}.jsonl", run) for run in runs]
+        else:  # plateau tails of runs already trained out
+            sizes = _parse_float_list(args.sizes, "--sizes")
+            written = [
+                (out_dir / f"converged-n{n:g}.jsonl",
+                 gen_converged_log(constants, n, batch_tokens=batches[0], noise=noise, stream=i))
+                for i, n in enumerate(sizes)
+            ]
+    for path, run in written:
         write_run_log(run, path)
         print(path)
     return 0
@@ -322,8 +311,8 @@ def _add_trim_flags(sub):
                      help="drop samples below this step")
     sub.add_argument("--trim-fraction", type=float, default=0.02,
                      help="drop samples below this fraction of the final step")
-    sub.add_argument("--split", choices=("train", "test"), default="test",
-                     help="preferred loss split")
+    sub.add_argument("--split", choices=SPLITS, default="test",
+                     help="loss split every stage reads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="trajectory")
     simulate.add_argument("--n-params", type=float, default=None, help="model size")
     simulate.add_argument("--batch-tokens", default=None,
-                          help="batch size in tokens; comma list for --kind scan")
+                          help="batch size in tokens; comma list for --kind scan; "
+                               "1e12 if unset for --kind converged")
     simulate.add_argument("--sizes", default=None,
                           help="comma-separated model sizes for --kind converged")
     simulate.add_argument("--num-steps", type=int, default=5000, help="final step")

@@ -39,6 +39,7 @@ from .laws import (
     loss_at_convergence,
     positive_real,
 )
+from .planning import MAX_GRID_POINTS
 from .records import SPLITS, ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
 
 # Post-correction pairs need an excess steps/s_min - 1 above this: near
@@ -140,13 +141,12 @@ class FitOptions:
 
     Attributes:
         trim: warm-up trimming applied to every trajectory, a WarmupTrim.
-        split: preferred split for loss values, one of SPLITS; falls
-            back to whatever the run has.
-        smooth_half_life: EMA half-life in steps applied to scan runs
-            before contour extraction, None to disable.
+        split: the split every stage reads, one of SPLITS.
+        smooth_half_life: EMA half-life in steps of the scan curves read for
+            contours, None to disable; post-correction reads the raw runs.
         contour_targets: explicit contour losses, kept as a tuple; None
             selects num_targets values spanning the scan's common loss range.
-        num_targets: contour count for automatic target selection, >= 1.
+        num_targets: automatic contour count, in [1, MAX_GRID_POINTS].
         target_inset: fraction of the common loss range kept clear at
             both ends when selecting targets automatically, in [0, 0.5).
         refine_batch_law: run the Gauss-Newton refinement of stage 4.
@@ -176,8 +176,7 @@ class FitOptions:
                 raise ValidationError(f"contour_targets must be a sequence, got {self.contour_targets!r}") from None
             for target in self.contour_targets:
                 positive_real("each contour target", target, error=ValidationError)
-        integer_at_least("num_targets", self.num_targets, 1, ValidationError)
-        positive_real("target_inset", self.target_inset, 0.5, ValidationError, zero=True)
+        _check_target_knobs(self.num_targets, self.target_inset, "target_inset")
         for name in ("refine_batch_law", "post_correct"):
             if not isinstance(getattr(self, name), bool):
                 raise ValidationError(f"{name} must be True or False, got {getattr(self, name)!r}")
@@ -259,16 +258,19 @@ def _power_law_from_logs(stage: StageFit, what: str) -> PowerLawFit:
     return PowerLawFit(scale, exponent, stage)
 
 
-def _pick_split(run: RunRecord, preferred: str) -> str:
-    names = run.splits()
-    return preferred if preferred in names else names[0]
-
-
 def _one_model_size(runs) -> None:
     n0 = runs[0].n_params
     for run in runs[1:]:
         if abs(run.n_params - n0) > 1e-9 * n0:
             raise ValidationError(f"runs mix model sizes {n0!r} and {run.n_params!r}")
+
+
+def _check_target_knobs(num_targets, inset, inset_name: str) -> None:
+    """The automatic-target rules FitOptions and default_contour_targets share."""
+    integer_at_least("num_targets", num_targets, 1, ValidationError)
+    if num_targets > MAX_GRID_POINTS:
+        raise ValidationError(f"num_targets must be at most {MAX_GRID_POINTS}, got {num_targets!r}")
+    positive_real(inset_name, inset, 0.5, ValidationError, zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +318,11 @@ def extract_converged_run(
     post-warm-up samples, which suits logs of runs trained to (or past)
     convergence.
     """
-    if not 0 < tail_fraction <= 1:
+    positive_real("tail_fraction", tail_fraction, error=ValidationError)
+    if tail_fraction > 1:
         raise ValidationError(f"tail_fraction must lie in (0, 1], got {tail_fraction!r}")
     trimmed = trim_warmup(run, trim)
-    _, _, losses = trimmed.split_arrays(_pick_split(trimmed, split))
+    _, _, losses = trimmed.split_arrays(split)
     k = max(1, math.ceil(tail_fraction * losses.size))
     return ConvergedRun(run.n_params, float(losses[-k:].mean()))
 
@@ -347,7 +350,7 @@ def fit_step_law(
             converged floor, i.e. stage 1 and this run disagree.
     """
     trimmed = trim_warmup(run, trim)
-    steps, _, losses = trimmed.split_arrays(_pick_split(trimmed, split))
+    steps, _, losses = trimmed.split_arrays(split)
     if steps.size < 2:
         raise InsufficientDataError("step-law fit needs at least two post-warm-up samples")
     floor = math.exp(alpha_n * (math.log(n_c) - math.log(run.n_params)))
@@ -376,15 +379,16 @@ def default_contour_targets(
 
     Takes the loss range shared by all runs and insets both ends by
     ``inset`` of its width, so targets stay clear of the ragged edges.
+    ``inset`` lies in [0, 0.5) and ``num_targets`` in [1, MAX_GRID_POINTS].
     """
     runs = list(runs)
     if not runs:
         raise InsufficientDataError("no runs to select contour targets from")
-    integer_at_least("num_targets", num_targets, 1, ValidationError)
+    _check_target_knobs(num_targets, inset, "inset")
     lo = -math.inf
     hi = math.inf
     for run in runs:
-        _, _, losses = run.split_arrays(_pick_split(run, split))
+        _, _, losses = run.split_arrays(split)
         lo = max(lo, float(losses.min()))
         hi = min(hi, float(losses.max()))
     if not lo < hi:
@@ -445,7 +449,7 @@ def extract_contours(
     Args:
         runs: RunRecords at one model size, assumed warm-up trimmed.
         targets: loss values to trace.
-        split: preferred split to read losses from.
+        split: split to read losses from.
         refine_window: half-width, in samples, of the local line fit
             around each raw crossing; 0 keeps the raw interpolation.
 
@@ -458,7 +462,8 @@ def extract_contours(
     if not runs:
         raise InsufficientDataError("no scan runs given")
     _one_model_size(runs)
-    curves = [run.split_arrays(_pick_split(run, split)) for run in runs]
+    integer_at_least("refine_window", refine_window, 0, ValidationError)
+    curves = [run.split_arrays(split) for run in runs]
     contours = []
     for target in np.asarray(targets, dtype=float):
         batches, steps_at = [], []
@@ -622,7 +627,7 @@ def post_correct_batch_law(
         candidate: complete constants from the preceding stages.
         scan_runs: warm-up trimmed scan runs.
         contours: ContourFit sequence whose pairs join the pool.
-        split: preferred split to read losses from.
+        split: split to read losses from.
         refine: passed through to the pooled refit.
 
     Returns:
@@ -634,7 +639,7 @@ def post_correct_batch_law(
     pooled_b = [np.array([f.b_crit_hat for f in contours])]
     analytic = 0
     for run in scan_runs:
-        steps, _, losses = run.split_arrays(_pick_split(run, split))
+        steps, _, losses = run.split_arrays(split)
         if losses.size >= 2 * _DENOISE_WINDOW:
             kernel = np.full(_DENOISE_WINDOW, 1.0 / _DENOISE_WINDOW)
             losses = np.convolve(losses, kernel, mode="valid")
@@ -697,6 +702,7 @@ def diagnose_infinite_data(
     Raises:
         DiagnosticError: a split is missing or the grids do not overlap.
     """
+    positive_real("threshold", threshold, error=ValidationError)
     trimmed = trim_warmup(run, trim)
     if set(trimmed.splits()) != {"train", "test"}:
         raise DiagnosticError(
@@ -730,6 +736,7 @@ def diagnose_infinite_batch(
         BatchDiagnostic; ``stationary_batch`` is None when every pair
         still differs by the threshold or more.
     """
+    positive_real("threshold", threshold, error=ValidationError)
     runs = list(runs)
     if len(runs) < 2:
         raise InsufficientDataError("batch diagnostic needs at least two runs")
@@ -740,7 +747,7 @@ def diagnose_infinite_batch(
     curves = []
     for run in runs:
         trimmed = trim_warmup(run, trim)
-        steps, _, losses = trimmed.split_arrays(_pick_split(trimmed, split))
+        steps, _, losses = trimmed.split_arrays(split)
         curves.append((steps, losses))
     deviations = []
     stationary = None
@@ -768,9 +775,9 @@ def diagnose_infinite_batch(
 def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
     """Stages 3 and 4: trim, order by batch, smooth, fit contours and the batch law.
 
-    Returns (runs, contours, law): the prepared runs in batch order, so
-    the order given changes no result; a ContourFit per kept contour;
-    and the PowerLawFit of (b_star, alpha_b).
+    Returns (runs, contours, law): the trimmed runs in batch order, so
+    the order given changes no result, with their measured losses; a
+    ContourFit per kept contour; and the PowerLawFit of (b_star, alpha_b).
 
     Raises:
         InsufficientDataError: no contour has two or more crossings.
@@ -779,14 +786,17 @@ def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
     runs = [trim_warmup(run, opts.trim) for run in scan_runs]
     # the one sort: contour points, and every sum over them, follow batch order
     runs.sort(key=lambda r: r.batch_tokens)
+    # smoothing feeds the contours only: its lag would bias the pairs that
+    # post-correction builds from the returned runs, which it denoises itself
+    curves = runs
     if opts.smooth_half_life is not None:
-        runs = [ema_smooth(run, opts.smooth_half_life) for run in runs]
+        curves = [ema_smooth(run, opts.smooth_half_life) for run in runs]
     targets = opts.contour_targets
     if targets is None:
         targets = default_contour_targets(
-            runs, opts.num_targets, split=opts.split, inset=opts.target_inset
+            curves, opts.num_targets, split=opts.split, inset=opts.target_inset
         )
-    points = extract_contours(runs, targets, split=opts.split)
+    points = extract_contours(curves, targets, split=opts.split)
     if not points:
         raise InsufficientDataError("no contour has two or more crossings")
     contours = [fit_contour(p) for p in points]

@@ -201,6 +201,9 @@ def read_run_log(source) -> RunRecord:
         missing = [k for k in _HEADER_FIELDS if k not in header]
         if missing:
             raise ParseError(f"header missing fields {missing}", line=1)
+        for name in ("run_id", "dataset_tag"):  # strings, never coerced from other JSON types
+            if not isinstance(header[name], str):
+                raise ParseError(f"bad header field {name}: {header[name]!r}", line=1)
         fmt = header.get("format", "jsonl")
         if fmt not in RUN_FORMATS:
             raise ParseError(f"unknown run-log format {fmt!r}", line=1)
@@ -211,11 +214,11 @@ def read_run_log(source) -> RunRecord:
                 lines.append(line_no)
 
     return RunRecord(
-        run_id=str(header["run_id"]),
+        run_id=header["run_id"],
         n_params=_header_count(header, "n_params"),
         batch_tokens=_header_count(header, "batch_tokens"),
         context_length=_header_count(header, "context_length", integral=True),
-        dataset_tag=str(header["dataset_tag"]),
+        dataset_tag=header["dataset_tag"],
         samples=rows,
         row_names=lambda i: f"line {lines[i]}",
     )

@@ -40,16 +40,16 @@ class ConvergedRun:
         positive_real("final_loss", self.final_loss, error=ValidationError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
-    """A single constant-batch training run.
+    """A single constant-batch training run, frozen once its rows are checked.
 
     Args:
-        run_id: identifier carried through serialization, not interpreted.
+        run_id: non-empty string carried through serialization, not interpreted.
         n_params: non-embedding parameter count of the trained model.
         batch_tokens: tokens per optimization step.
         context_length: sequence length used for training.
-        dataset_tag: short name of the training corpus.
+        dataset_tag: short name of the training corpus, a string.
         samples: (step, tokens, loss, split) rows, a SAMPLE_DTYPE array
             or a sequence of tuples; steps strictly increasing within each
             split. Stored read-only, as SAMPLE_DTYPE, in canonical order.
@@ -66,11 +66,14 @@ class RunRecord:
     row_names: InitVar[Callable[[int], str] | None] = None
 
     def __post_init__(self, row_names):
-        if not self.run_id:
-            raise ValidationError("run_id must be a non-empty string")
+        if not (isinstance(self.run_id, str) and self.run_id):
+            raise ValidationError(f"run_id must be a non-empty string, got {self.run_id!r}")
+        if not isinstance(self.dataset_tag, str):
+            raise ValidationError(f"dataset_tag must be a string, got {self.dataset_tag!r}")
         for name in ("n_params", "batch_tokens", "context_length"):
             positive_real(name, getattr(self, name), error=ValidationError)
-        self.samples = _canonical_samples(self, row_names or (lambda i: f"sample {i}"))
+        samples = _canonical_samples(self, row_names or (lambda i: f"sample {i}"))
+        object.__setattr__(self, "samples", samples)
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):

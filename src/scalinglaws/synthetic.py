@@ -165,7 +165,6 @@ def gen_batch_scan(
     noise: NoiseSpec = NoiseSpec(),
     warmup: WarmupSpec = WarmupSpec(),
     log_every: int = 1,
-    stream_base: int = 1,
 ) -> list[RunRecord]:
     """A batch-size scan: one run per batch at a fixed model size.
 
@@ -173,7 +172,6 @@ def gen_batch_scan(
         batches: at least two distinct batch sizes; duplicates rejected.
         num_steps: final step for every run, or one value per batch
             (small batches need more steps to reach the same losses).
-        stream_base: first sub-stream index; run i uses stream_base + i.
 
     Returns:
         Runs ordered by increasing batch size.
@@ -188,11 +186,12 @@ def gen_batch_scan(
     if len(per_batch) != len(batches):
         raise ValidationError("num_steps must be one value or one per batch")
     order = np.argsort(batches)
+    # the run of rank i draws noise stream 1 + i, clear of gen_trajectory's default 0
     return [
         gen_trajectory(
             c, n, batches[i], per_batch[i],
             noise=noise, warmup=warmup, log_every=log_every,
-            stream=stream_base + int(rank),
+            stream=1 + int(rank),
         )
         for rank, i in enumerate(order)
     ]
@@ -203,8 +202,6 @@ def gen_converged_log(
     n,
     batch_tokens=1e12,
     samples: int = 120,
-    start_step: float = 10_000.0,
-    step_spacing: float = 100.0,
     noise: NoiseSpec = NoiseSpec(),
     run_id: str | None = None,
     stream: int = 0,
@@ -216,7 +213,8 @@ def gen_converged_log(
     ConvergedRun, for pipelines that ingest everything as run logs.
     """
     integer_at_least("samples", samples, 1, ValidationError)
-    steps = start_step + step_spacing * np.arange(samples, dtype=float)
+    # the tail's steps only index it: 10000, 10100, ...
+    steps = 10_000.0 + 100.0 * np.arange(samples, dtype=float)
     level = loss_at_convergence(c, n)
     observed = level * noise.factors(samples, stream)
     if run_id is None:

@@ -240,6 +240,23 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "trajectory", "--batch-tokens", "1e6"), "needs --n-params, --out"),
+        (("--kind", "scan", "--out-dir", "d"), "needs --n-params, --batch-tokens"),
+        (("--kind", "converged", "--sizes", "1e6"), "needs --out-dir"),
+        (("--kind", "converged", "--sizes", "1e6", "--out-dir", "d", "--batch-tokens", "1e5,1e9"),
+         "only --kind scan takes several"),
+    ])
+    def test_usage_fault_is_one_error_line(self, constants_path, tmp_path, monkeypatch, capsys,
+                                           argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--constants", constants_path, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "d").exists()
+
 
 @pytest.fixture(scope="module")
 def scan_dir(tmp_path_factory):

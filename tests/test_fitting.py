@@ -126,6 +126,17 @@ class TestStepLaw:
         with pytest.raises(InsufficientDataError):
             fit_step_law(C4.n_c, C4.alpha_n, run)
 
+    def test_reads_only_the_named_split(self):
+        full = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=3000, log_every=25)
+        train_only = RunRecord(
+            run_id="train-only", n_params=1e7, batch_tokens=1e12, context_length=1024,
+            dataset_tag="c4", samples=full.samples[full.samples["split"] == "train"],
+        )
+        with pytest.raises(ValidationError, match="'train-only' has no 'test' samples"):
+            fit_step_law(C4.n_c, C4.alpha_n, train_only, split="test")
+        fit = fit_step_law(C4.n_c, C4.alpha_n, train_only, split="train")
+        assert fit.exponent == pytest.approx(C4.alpha_s, rel=1e-5)
+
 
 class TestContourTargets:
     def test_shared_range_with_inset(self):
@@ -344,6 +355,14 @@ class TestDiagnostics:
         with pytest.raises(InsufficientDataError):
             diagnose_infinite_batch(runs[:1])
 
+    def test_runs_sharing_no_steps_warn_and_record_inf(self):
+        early = simple_run([100, 200], [4.0, 3.9], batch=1e5, run_id="early")
+        late = simple_run([1000, 2000], [3.5, 3.4], batch=1e6, run_id="late")
+        with pytest.warns(ScalingLawWarning, match="share no steps"):
+            verdict = diagnose_infinite_batch([early, late], trim=WarmupTrim(0, 0))
+        assert verdict.deviations == [(1e5, 1e6, np.inf)]
+        assert verdict.stationary_batch is None
+
 
 class TestFullPipeline:
     def test_noiseless_recovery(self):
@@ -428,12 +447,18 @@ class TestBatchStage:
         for run, raw in zip(runs, scans):
             assert run.final_step() == raw.final_step()
             assert run.samples["step"][0] >= opts.trim.threshold(raw.final_step())
-        # smoothed, so the losses are no longer the trimmed raw ones
+        # smoothing feeds the contours only, so the losses are the trimmed raw ones
         raw_losses = trim_warmup(scans[0], opts.trim).split_arrays("test")[2]
-        assert not np.array_equal(runs[0].split_arrays("test")[2], raw_losses)
+        assert np.array_equal(runs[0].split_arrays("test")[2], raw_losses)
         report = fit_full_pipeline(converged, big, scans, opts)
         assert report.contours == contours
         assert (report.b_star, report.alpha_b) == (law.scale, law.exponent)
+
+    def test_smoothing_does_not_reach_post_correction(self, noisy_campaign):
+        converged, big, scans = noisy_campaign
+        report = fit_full_pipeline(converged, big, scans, FitOptions(smooth_half_life=50.0))
+        assert report.post_correction is not None
+        assert report.alpha_b == pytest.approx(C4.alpha_b, rel=0.05)
 
     def test_no_contour_is_insufficient_data(self, noisy_campaign):
         _, _, scans = noisy_campaign

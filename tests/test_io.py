@@ -28,6 +28,7 @@ from scalinglaws import (
     write_constants,
     write_run_log,
 )
+from scalinglaws.io import _open_out
 from scalinglaws.records import TOKEN_RTOL
 
 C4 = C4_CONSTANTS
@@ -235,6 +236,9 @@ class TestRunLogErrors:
         ("context_length", "7"),
         pytest.param("context_length", 10**400, id="context_length-huge"),
         ("batch_tokens", float("inf")),
+        ("run_id", True),
+        ("run_id", 5),
+        ("dataset_tag", None),
     ])
     def test_bad_header_value_type(self, field, value):
         # counts are JSON numbers, never coerced from bools or strings
@@ -242,6 +246,17 @@ class TestRunLogErrors:
         with pytest.raises(ParseError, match="bad header field") as err:
             read_run_log(io.StringIO(text))
         assert err.value.line == 1
+
+    def test_failed_write_leaves_target_and_no_part_file(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(awkward_run(), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="midway"):
+            with _open_out(path) as out:
+                out.write("half a log\n")
+                raise RuntimeError("midway")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
 
     def test_integral_float_context_length_accepted(self):
         text = header_line(context_length=2048.0) + "\n" + row_line(100, 3.0) + "\n"

@@ -18,10 +18,15 @@ from scalinglaws import (
     WarmupSpec,
     WarmupTrim,
     default_contour_targets,
+    diagnose_infinite_batch,
+    diagnose_infinite_data,
+    extract_contours,
+    extract_converged_run,
     gen_batch_scan,
     gen_converged_log,
     gen_trajectory,
 )
+from scalinglaws.planning import MAX_GRID_POINTS
 
 C4 = C4_CONSTANTS
 
@@ -31,6 +36,7 @@ class TestFitOptions:
         pytest.param(dict(num_targets=2.5), id="fractional-num-targets"),
         pytest.param(dict(num_targets=True), id="bool-num-targets"),
         pytest.param(dict(num_targets=0), id="zero-num-targets"),
+        pytest.param(dict(num_targets=MAX_GRID_POINTS + 1), id="num-targets-above-cap"),
         pytest.param(dict(trim=None), id="no-trim"),
         pytest.param(dict(split="bogus"), id="unknown-split"),
         pytest.param(dict(target_inset=0.6), id="inset-above-half"),
@@ -121,3 +127,43 @@ def test_contour_target_count_must_be_integral():
     run = RunRecord("a", 1e7, 1e5, 1024, "c4", [(100.0, 1e7, 3.0, "test"), (200.0, 2e7, 1.0, "test")])
     with pytest.raises(ValidationError, match="num_targets"):
         default_contour_targets([run], 2.5)
+
+
+class TestFittingKnobs:
+    @pytest.fixture(scope="class")
+    def scan(self):
+        return gen_batch_scan(C4, 1e7, [1e5, 1e6], 400, log_every=10)
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(inset=0.7), id="inset-above-half"),
+        pytest.param(dict(inset=-2.0), id="negative-inset"),
+        pytest.param(dict(inset=True), id="bool-inset"),
+        pytest.param(dict(num_targets=MAX_GRID_POINTS + 1), id="num-targets-above-cap"),
+    ])
+    def test_contour_targets_reject(self, scan, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            default_contour_targets(scan, **kwargs)
+
+    @pytest.mark.parametrize("window", [2.5, True, -1])
+    def test_refine_window_rejected(self, scan, window):
+        with pytest.raises(ValidationError, match="refine_window"):
+            extract_contours(scan, [25.0], refine_window=window)
+
+    def test_refine_window_zero_accepted(self, scan):
+        (points,) = extract_contours(scan, [25.0], refine_window=np.int64(0))
+        assert points.steps.size == 2
+
+    @pytest.mark.parametrize("fraction", [True, math.inf])
+    def test_tail_fraction_rejected(self, scan, fraction):
+        with pytest.raises(ValidationError, match="tail_fraction"):
+            extract_converged_run(scan[0], tail_fraction=fraction)
+
+    def test_whole_tail_allowed(self, scan):
+        assert extract_converged_run(scan[0], tail_fraction=1).n_params == 1e7
+
+    @pytest.mark.parametrize("threshold", [True, 0.0, -0.01, math.inf])
+    def test_diagnostic_thresholds_rejected(self, scan, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            diagnose_infinite_data(scan[0], threshold=threshold)
+        with pytest.raises(ValidationError, match="threshold"):
+            diagnose_infinite_batch(scan, threshold=threshold)

@@ -1,5 +1,7 @@
 """Run records: validation, trimming, smoothing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,10 +102,17 @@ class TestRunValidation:
         ("n_params", 0.0), ("batch_tokens", -1.0),
         ("context_length", 0), ("run_id", ""),
         ("n_params", True), ("context_length", True),
+        ("run_id", 5), ("run_id", None), ("dataset_tag", None), ("dataset_tag", 3),
     ])
     def test_header_fields_validated(self, field, value):
         with pytest.raises(ValidationError):
             make_run([100], [3.0], **{field: value})
+
+    def test_frozen_after_validation(self):
+        run = make_run([100], [3.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.batch_tokens = -1.0
+        assert run.batch_tokens == 1e6
 
     @pytest.mark.parametrize("n_params,final_loss", [(True, 3.0), (1e7, True)])
     def test_converged_run_rejects_bools(self, n_params, final_loss):
