@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -787,10 +787,15 @@ def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
     # the one sort: contour points, and every sum over them, follow batch order
     runs.sort(key=lambda r: r.batch_tokens)
     # smoothing feeds the contours only: its lag would bias the pairs that
-    # post-correction builds from the returned runs, which it denoises itself
+    # post-correction builds from the returned runs, which it denoises itself;
+    # the contours read one split, so only that split is smoothed
     curves = runs
     if opts.smooth_half_life is not None:
-        curves = [ema_smooth(run, opts.smooth_half_life) for run in runs]
+        curves = [
+            ema_smooth(replace(run, samples=run.samples[run.split_rows(opts.split)]),
+                       opts.smooth_half_life)
+            for run in runs
+        ]
     targets = opts.contour_targets
     if targets is None:
         targets = default_contour_targets(

@@ -2,9 +2,13 @@
 
 Run logs are a single JSON header line followed by one row per logged
 sample, either JSON objects (the default) or bare comma-separated
-values when the header declares format=csv. Rows are parsed line by
-line, then validated once, together, when the RunRecord is built; the
-writer writes from the record's columns. Constants documents are a
+values when the header declares format=csv. The body is split on "\n"
+and parsed in blocks of lines, each in one pass: one str.split for a
+csv block, one json.loads for a jsonl block. A block that pass cannot
+take whole (a bad row, blank lines, padding, extra JSON structure) is
+parsed line by line instead, so errors name their line. Rows are then
+validated once, together, when the RunRecord is built; the writer
+writes from the record's columns. Constants documents are a
 single JSON object, whose values ConstantsDocument checks by the same
 rules as ScalingConstants. Counts are serialized in plain decimal;
 fitted constants in scientific notation with enough digits to
@@ -21,17 +25,23 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, FormatVersionError, ParseError, ValidationError
 from .fitting import FitReport
 from .laws import CONSTANT_NAMES, ScalingConstants, check_constants
-from .records import SPLITS, RunRecord
+from .records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, RunRecord
 
 SCHEMA_VERSION = 1
 RUN_FORMATS = ("jsonl", "csv")
 _HEADER_FIELDS = ("run_id", "n_params", "batch_tokens", "context_length", "dataset_tag")
 _ROW_FIELDS = ("step", "tokens", "loss", "split")
+# lines parsed in one pass at most, so a long log never holds every row's
+# parsed objects at once
+_BLOCK_LINES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,8 @@ def write_run_log(run: RunRecord, target, fmt: str = "jsonl") -> None:
         "dataset_tag": run.dataset_tag,
     }
     # Python floats: under numpy 2 the repr of a numpy scalar is not a number
-    columns = [run.samples[name].tolist() for name in _ROW_FIELDS]
+    columns = [run.samples[name].tolist() for name in _ROW_FIELDS[:3]]
+    columns.append([SPLITS[code] for code in run.samples["split"].tolist()])
     with _open_out(target) as out:
         out.write(json.dumps(header) + "\n")
         for step, tokens, loss, split in zip(*columns):
@@ -126,7 +137,7 @@ def write_run_log(run: RunRecord, target, fmt: str = "jsonl") -> None:
 
 
 def _parse_row(text: str, line_no: int, fmt: str) -> tuple:
-    """One row's syntax, as (step, tokens, loss, split); values are checked per run."""
+    """One row's syntax, as (step, tokens, loss, split code); values are checked per run."""
     if fmt == "csv":
         fields = text.split(",")
         if len(fields) != len(_ROW_FIELDS):
@@ -153,7 +164,69 @@ def _parse_row(text: str, line_no: int, fmt: str) -> tuple:
         raise ParseError("step, tokens, and loss must be numbers", line=line_no) from None
     if split not in SPLITS:
         raise ParseError(f"unknown split {split!r}", line=line_no)
-    return row
+    return row[:3] + (SPLIT_CODES[split],)
+
+
+def _bulk_columns(lines: list[str], fmt: str) -> list | None:
+    """A block's (step, tokens, loss, split code) columns, parsed in one pass.
+
+    Returns None where the pass cannot prove that each line is one row
+    that _parse_row would take, and take to the same values.
+    """
+    n = len(lines)
+    if fmt == "csv":
+        # a "\n" cell at every fifth place: each line has exactly four fields
+        cells = ",\n,".join(lines).split(",")
+        if len(cells) != 5 * n - 1 or cells[4::5].count("\n") != n - 1:
+            return None
+        fields = [cells[k::5] for k in range(4)]
+    else:
+        # Each line must be one JSON object, alone. A string cannot run over a
+        # raw newline, so if every line starts with "{", ends with "}" and holds
+        # no other brace, the "}" that ends a line closes the object its "{"
+        # opened: no container crosses a line break.
+        text = ",\n".join(lines)
+        if not (text[:1] == "{" and text[-1:] == "}"
+                and text.count("{") == n == text.count("}")
+                and text.count("},\n{") == n - 1):
+            return None
+        try:
+            rows = json.loads("[" + text + "]")
+        except json.JSONDecodeError:
+            return None
+        fields = [map(itemgetter(k), rows) for k in _ROW_FIELDS]
+    try:
+        # float() as _parse_row converts; a missing field or a name outside
+        # SPLITS is a KeyError
+        return [*(list(map(float, f)) for f in fields[:3]),
+                list(map(SPLIT_CODES.__getitem__, fields[3]))]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _parse_block(
+    lines: list[str], first_line: int, fmt: str, end: str = "\n"
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's non-blank rows as SAMPLE_DTYPE, with their line numbers.
+
+    Lines come without their ending, which _parse_row gets back as ``end``:
+    JSON names a string cut by a newline otherwise than one cut by the end.
+    """
+    columns = _bulk_columns(lines, fmt)
+    if columns is not None:
+        numbers = np.arange(first_line, first_line + len(lines))
+    else:
+        rows, numbers = [], []
+        for line_no, text in enumerate(lines, start=first_line):
+            if text.strip():
+                rows.append(_parse_row(text + end, line_no, fmt))
+                numbers.append(line_no)
+        columns = list(zip(*rows)) or [()] * len(_ROW_FIELDS)
+        numbers = np.array(numbers, dtype=int)
+    block = np.empty(len(numbers), dtype=SAMPLE_DTYPE)
+    for name, column in zip(_ROW_FIELDS, columns):
+        block[name] = column
+    return block, numbers
 
 
 def _header_count(header: dict, name: str, integral: bool = False):
@@ -207,11 +280,17 @@ def read_run_log(source) -> RunRecord:
         fmt = header.get("format", "jsonl")
         if fmt not in RUN_FORMATS:
             raise ParseError(f"unknown run-log format {fmt!r}", line=1)
-        rows, lines = [], []
-        for line_no, text in enumerate(handle, start=2):
-            if text.strip():
-                rows.append(_parse_row(text, line_no, fmt))
-                lines.append(line_no)
+        # "\n" alone ends a line, as in iterating the stream; never splitlines()
+        lines = handle.read().split("\n")
+    last = lines.pop()  # after the last newline: nothing, or a row without one
+    blocks = [
+        _parse_block(lines[start:start + _BLOCK_LINES], start + 2, fmt)
+        for start in range(0, len(lines), _BLOCK_LINES)
+    ]
+    if last.strip():
+        blocks.append(_parse_block([last], len(lines) + 2, fmt, end=""))
+    samples = np.concatenate([b[0] for b in blocks] or [np.empty(0, SAMPLE_DTYPE)])
+    numbers = np.concatenate([b[1] for b in blocks] or [np.empty(0, int)])
 
     return RunRecord(
         run_id=header["run_id"],
@@ -219,8 +298,8 @@ def read_run_log(source) -> RunRecord:
         batch_tokens=_header_count(header, "batch_tokens"),
         context_length=_header_count(header, "context_length", integral=True),
         dataset_tag=header["dataset_tag"],
-        samples=rows,
-        row_names=lambda i: f"line {lines[i]}",
+        samples=samples,
+        row_names=lambda i: f"line {numbers[i]}",
     )
 
 

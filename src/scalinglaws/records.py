@@ -2,9 +2,10 @@
 
 A run is a sequence of logged samples at constant batch size, held as
 one columnar store: a numpy structured array (step, tokens, loss, split)
-in canonical order, by step with train before test. Both splits may log
-the same steps, so steps must increase within each split only. Rows are
-validated once, when a RunRecord is built; reshaping slices the store.
+in canonical order, by step with train before test. The split is an
+int8 code, the index of its name in SPLITS. Both splits may log the same
+steps, so steps must increase within each split only. Rows are validated
+once, when a RunRecord is built; reshaping slices the store.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from .errors import ValidationError
 from .laws import positive_real
 
 SPLITS = ("train", "test")
+# split name -> the code stored in the split column
+SPLIT_CODES = {name: code for code, name in enumerate(SPLITS)}
 
 # tokens must equal step * batch_tokens for constant-batch runs, to this
 # relative slack
 TOKEN_RTOL = 1e-3
 
-# split is an object field: a fixed-width string field would truncate an
-# unknown name such as "trainee" into a known one
-SAMPLE_DTYPE = np.dtype([("step", float), ("tokens", float), ("loss", float), ("split", object)])
+SAMPLE_DTYPE = np.dtype([("step", float), ("tokens", float), ("loss", float), ("split", np.int8)])
+# rows given as tuples name their split; names become codes once checked
+_NAMED_DTYPE = np.dtype([("step", float), ("tokens", float), ("loss", float), ("split", object)])
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,9 @@ class RunRecord:
         context_length: sequence length used for training.
         dataset_tag: short name of the training corpus, a string.
         samples: (step, tokens, loss, split) rows, a SAMPLE_DTYPE array
-            or a sequence of tuples; steps strictly increasing within each
-            split. Stored read-only, as SAMPLE_DTYPE, in canonical order.
+            (split as a code) or a sequence of tuples (split as a name);
+            steps strictly increasing within each split. Stored
+            read-only, as SAMPLE_DTYPE, in canonical order.
         row_names: how errors name row i of the given samples ("sample
             i" by default); the log reader names file lines.
     """
@@ -85,14 +89,19 @@ class RunRecord:
 
     def splits(self) -> tuple[str, ...]:
         """Splits present in this run, in SPLITS order."""
-        present = set(self.samples["split"])
-        return tuple(name for name in SPLITS if name in present)
+        counts = np.bincount(self.samples["split"], minlength=len(SPLITS))
+        return tuple(name for name, count in zip(SPLITS, counts) if count)
+
+    def split_rows(self, split: str) -> np.ndarray:
+        """Mask of one split's rows; raises ValidationError if it has none."""
+        rows = self.samples["split"] == SPLIT_CODES.get(split, -1)
+        if not rows.any():
+            raise ValidationError(f"run {self.run_id!r} has no {split!r} samples")
+        return rows
 
     def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (steps, tokens, losses) arrays for one split, in step order."""
-        rows = self.samples["split"] == split
-        if not rows.any():
-            raise ValidationError(f"run {self.run_id!r} has no {split!r} samples")
+        rows = self.split_rows(split)
         return tuple(self.samples[name][rows] for name in ("step", "tokens", "loss"))
 
     def final_step(self) -> float:
@@ -104,22 +113,33 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
     """Check a run's rows and return them in canonical order.
 
     The one place that checks row values, per-split step order and
-    token/step consistency. Reports the first rule broken, at its first row.
+    token/step consistency, and that turns split names into codes.
+    Reports the first rule broken, at its first row.
     """
-    samples = np.asarray(run.samples, dtype=SAMPLE_DTYPE)
+    coded = isinstance(run.samples, np.ndarray) and run.samples.dtype == SAMPLE_DTYPE
+    samples = run.samples if coded else np.asarray(run.samples, dtype=_NAMED_DTYPE)
     if samples.ndim != 1 or samples.size == 0:
         raise ValidationError(f"run {run.run_id!r} has no sample rows")
-    step, tokens, loss, split = (samples[name] for name in SAMPLE_DTYPE.names)
-    code = np.full(samples.size, -1, dtype=np.int8)
-    for k, name in enumerate(SPLITS):
-        code[split == name] = k
+    if not coded:
+        named, samples = samples, np.empty(samples.size, dtype=SAMPLE_DTYPE)
+        for name in ("step", "tokens", "loss"):
+            samples[name] = named[name]
+        samples["split"] = -1
+        for k, name in enumerate(SPLITS):
+            samples["split"][named["split"] == name] = k
+    step, tokens, loss, code = (samples[name] for name in SAMPLE_DTYPE.names)
+
+    def unknown_split(i):
+        # a name as given, or a code outside SPLITS
+        return f"unknown split {int(code[i]) if coded else named['split'][i]!r}"
+
     # each row's predecessor within its split, in the order given; -1 if none
     grouped = np.argsort(code, kind="stable")
     prev = np.full(samples.size, -1)
     prev[grouped[1:]] = np.where(code[grouped[1:]] == code[grouped[:-1]], grouped[:-1], -1)
 
     def order_fault(i):
-        where = f"step {float(step[i])!r} in split {split[i]!r}"
+        where = f"step {float(step[i])!r} in split {SPLITS[code[i]]!r}"
         if step[i] == step[prev[i]]:
             return f"duplicate {where} (also {row_name(prev[i])})"
         return f"decreasing {where} after {float(step[prev[i]])!r} ({row_name(prev[i])})"
@@ -127,7 +147,7 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
     with np.errstate(invalid="ignore", over="ignore"):
         expected = step * run.batch_tokens
         rules = (
-            (code < 0, lambda i: f"unknown split {split[i]!r}"),
+            ((code < 0) | (code >= len(SPLITS)), unknown_split),
             (~(np.isfinite(step) & (step > 0)),
              lambda i: f"step must be positive, got {float(step[i])!r}"),
             (~(np.isfinite(loss) & (loss > 0)),
@@ -200,11 +220,12 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
     positive_real("half_life", half_life, error=ValidationError)
     samples = run.samples.copy()
     for split in run.splits():
-        steps, _, losses = run.split_arrays(split)
+        rows = run.split_rows(split)
+        steps, losses = run.samples["step"][rows], run.samples["loss"][rows]
         out = np.empty_like(losses)
         out[0] = losses[0]
         decay = np.exp2(-np.diff(steps) / half_life)
         for i in range(1, losses.size):
             out[i] = decay[i - 1] * out[i - 1] + (1.0 - decay[i - 1]) * losses[i]
-        samples["loss"][samples["split"] == split] = out
+        samples["loss"][rows] = out
     return replace(run, samples=samples)

@@ -90,7 +90,7 @@ def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
     samples["step"] = np.repeat(steps, 2)
     samples["tokens"] = np.repeat(steps * float(batch_tokens), 2)
     samples["loss"] = np.repeat(losses, 2)
-    samples["split"] = SPLITS * steps.size
+    samples["split"] = np.tile(np.arange(len(SPLITS), dtype=np.int8), steps.size)
     return RunRecord(
         run_id=run_id,
         n_params=float(n),
@@ -105,19 +105,16 @@ def gen_converged_suite(
     c: ScalingConstants,
     sizes,
     noise: NoiseSpec = NoiseSpec(),
-    stream: int = 0,
 ) -> list[ConvergedRun]:
-    """Converged losses for a list of model sizes.
+    """Converged losses for a list of model sizes, from noise stream 0.
 
     Args:
         c: generating constants.
         sizes: parameter counts; repeats are allowed and redrawn.
         noise: per-size measurement noise.
-        stream: sub-stream index for seed independence from other
-            generators sharing the same NoiseSpec.
     """
     sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
-    losses = np.atleast_1d(loss_at_convergence(c, sizes)) * noise.factors(sizes.size, stream)
+    losses = np.atleast_1d(loss_at_convergence(c, sizes)) * noise.factors(sizes.size)
     return [ConvergedRun(float(n), float(l)) for n, l in zip(sizes, losses)]
 
 
@@ -147,7 +144,8 @@ def gen_trajectory(
         warmup: additive warm-up transient.
         log_every: logging stride in steps.
         run_id: defaults to a descriptive synthetic id.
-        stream: sub-stream index, see gen_converged_suite.
+        stream: sub-stream index of the noise: runs that share a
+            NoiseSpec draw independent noise when their streams differ.
     """
     steps = _step_grid(num_steps, log_every)
     clean = np.atleast_1d(solve_loss(c, n, steps, batch_tokens))

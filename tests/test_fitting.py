@@ -43,6 +43,7 @@ from scalinglaws import (
 )
 from scalinglaws.fitting import ContourFit
 from scalinglaws.laws import CONSTANT_NAMES
+from scalinglaws.records import SPLIT_CODES
 
 C4 = C4_CONSTANTS
 
@@ -130,7 +131,7 @@ class TestStepLaw:
         full = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=3000, log_every=25)
         train_only = RunRecord(
             run_id="train-only", n_params=1e7, batch_tokens=1e12, context_length=1024,
-            dataset_tag="c4", samples=full.samples[full.samples["split"] == "train"],
+            dataset_tag="c4", samples=full.samples[full.samples["split"] == SPLIT_CODES["train"]],
         )
         with pytest.raises(ValidationError, match="'train-only' has no 'test' samples"):
             fit_step_law(C4.n_c, C4.alpha_n, train_only, split="test")

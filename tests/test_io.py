@@ -2,6 +2,8 @@
 
 import io
 import json
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from scalinglaws import (
     write_constants,
     write_run_log,
 )
+from scalinglaws import io as sio
+from scalinglaws.errors import ScalingLawError
 from scalinglaws.io import _open_out
 from scalinglaws.records import TOKEN_RTOL
 
@@ -329,6 +333,101 @@ class TestRunLogProperties:
             read_run_log(io.StringIO(text))
         except (ParseError, ValidationError, FormatVersionError):
             pass
+
+
+def read_outcome(text, block_lines, bulk=True):
+    """The record read from text, or (class, message, line) of its error;
+    bulk=False parses every block line by line."""
+    line_by_line = mock.patch.object(sio, "_bulk_columns", return_value=None)
+    with mock.patch.object(sio, "_BLOCK_LINES", block_lines), (
+        nullcontext() if bulk else line_by_line
+    ):
+        try:
+            return read_run_log(io.StringIO(text))
+        except ScalingLawError as e:
+            return type(e), str(e), getattr(e, "line", None)
+
+
+@st.composite
+def run_log_texts(draw):
+    """A valid run's log, or a header over fuzzed rows, in either format,
+    with fuzzed rows and blank lines spliced in anywhere."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    if draw(st.booleans()):
+        written = io.StringIO()
+        write_run_log(draw(valid_runs()), written, fmt=fmt)
+        lines = written.getvalue().split("\n")
+    else:
+        lines = [header_line(format=fmt)]
+    extra = draw(st.lists(st.one_of(fuzzed_lines, st.sampled_from(["", " ", "\x0c"])), max_size=3))
+    for line in extra:
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    if draw(st.booleans()):  # one line grows a tail
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        lines[i] += draw(st.sampled_from([",0", ",train", "\r", "}", ', "x": 0}']))
+    return "\n".join(lines)
+
+
+# two rows on line 2, whose last is closed by line 3: each line is bad
+# alone, but joined by a comma they make valid JSON
+_crossing_rows = (
+    row_line(100, 3.0) + ", " + row_line(200, 2.9)[:-1] + ', "x": [0\n0]}\n'
+)
+
+
+class TestBulkReader:
+    @settings(max_examples=60, deadline=None)
+    @given(text=run_log_texts(), block_lines=st.integers(1, 5))
+    @example(text=header_line() + "\n" + _crossing_rows, block_lines=4096)
+    @example(
+        # a string cannot carry a row's closing brace into the next line
+        text=header_line() + '\n{"step": "}\n{", ' + row_line(100, 3.0)[1:] + "\n",
+        block_lines=4096,
+    )
+    @example(
+        # raw U+2028 is a line break to splitlines(), not to a run log
+        text=header_line() + "\n" + row_line(100, 3.0)[:-1] + ', "note": "a\u2028b"}\n',
+        block_lines=4096,
+    )
+    @example(text=header_line(format="csv") + "\n100,1e8,3.0,train\x0c\nbad\n", block_lines=4096)
+    @example(text=header_line(format="csv") + "\n100,1e8,3.0,train,0\n", block_lines=4096)
+    def test_bulk_parse_matches_line_by_line(self, text, block_lines):
+        assert read_outcome(text, block_lines) == read_outcome(text, block_lines, bulk=False)
+
+    def test_rows_joined_across_lines_rejected(self):
+        with pytest.raises(ParseError, match="bad JSON row") as err:
+            read_run_log(io.StringIO(header_line() + "\n" + _crossing_rows))
+        assert err.value.line == 2
+
+    def test_line_separator_inside_a_string_is_no_line_break(self):
+        text = header_line() + "\n" + row_line(100, 3.0)[:-1] + ', "note": "a\u2028b"}\n'
+        assert len(read_run_log(io.StringIO(text)).samples) == 1
+
+    def test_form_feed_is_no_line_break(self):
+        text = header_line(format="csv") + "\n100,1e8,3.0,train\x0c\nbad\n"
+        with pytest.raises(ParseError, match="comma-separated") as err:
+            read_run_log(io.StringIO(text))
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("tail,message", [
+        ("\n" + row_line(100, 3.0) + "\n", "Invalid control character"),  # cut by a newline
+        ("", "Unterminated string"),  # cut by the end of the file
+    ])
+    def test_row_cut_inside_a_string(self, tail, message):
+        with pytest.raises(ParseError, match=message) as err:
+            read_run_log(io.StringIO(header_line() + '\n{"split": "tra' + tail))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_many_blocks_keep_line_numbers(self, fmt):
+        run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=5000, log_every=1)
+        written = io.StringIO()
+        write_run_log(run, written, fmt=fmt)
+        assert read_run_log(io.StringIO(written.getvalue())) == run
+        lines = written.getvalue().split("\n")
+        lines[9000] = lines[9001]  # line 9001, in the third block, copies line 9002
+        with pytest.raises(ValidationError, match=r"line 9002: duplicate .*also line 9001"):
+            read_run_log(io.StringIO("\n".join(lines)))
 
 
 class TestConstantsDocuments:

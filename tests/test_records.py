@@ -15,6 +15,7 @@ from scalinglaws import (
     ema_smooth,
     trim_warmup,
 )
+from scalinglaws.records import SPLIT_CODES
 
 
 def make_run(steps, losses, batch=1e6, split="train", **kwargs):
@@ -38,7 +39,7 @@ class TestSampleValidation:
             context_length=1024, dataset_tag="c4",
             samples=[row(step=10.0, tokens=1e7, loss=3.5)],
         )
-        assert run.samples["split"][0] == "train"
+        assert run.samples["split"][0] == SPLIT_CODES["train"]
 
     @pytest.mark.parametrize("kwargs", [
         dict(step=0.0, tokens=0.0, loss=3.5),
@@ -156,7 +157,8 @@ class TestCanonicalOrder:
         # splits interleaved any other way are stored in canonical order
         run = RunRecord(samples=[rows[1], rows[0], rows[2]], **header)
         assert list(zip(run.samples["step"], run.samples["split"])) == [
-            (100.0, "train"), (100.0, "test"), (200.0, "test"),
+            (100.0, SPLIT_CODES["train"]), (100.0, SPLIT_CODES["test"]),
+            (200.0, SPLIT_CODES["test"]),
         ]
 
     @settings(max_examples=40, deadline=None)
