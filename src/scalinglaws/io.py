@@ -290,6 +290,7 @@ def read_run_log(source) -> RunRecord:
     if last.strip():
         blocks.append(_parse_block([last], len(lines) + 2, fmt, end=""))
     samples = np.concatenate([b[0] for b in blocks] or [np.empty(0, SAMPLE_DTYPE)])
+    samples.flags.writeable = False  # nobody else holds it: the record keeps it as is
     numbers = np.concatenate([b[1] for b in blocks] or [np.empty(0, int)])
 
     return RunRecord(

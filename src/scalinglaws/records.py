@@ -5,7 +5,9 @@ one columnar store: a numpy structured array (step, tokens, loss, split)
 in canonical order, by step with train before test. The split is an
 int8 code, the index of its name in SPLITS. Both splits may log the same
 steps, so steps must increase within each split only. Rows are validated
-once, when a RunRecord is built; reshaping slices the store.
+once, when a RunRecord is built; rows already in canonical order are
+checked in one pass and kept as given (copied only if someone else can
+write to them), so reshaping slices the store.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
 
     The one place that checks row values, per-split step order and
     token/step consistency, and that turns split names into codes.
-    Reports the first rule broken, at its first row.
+    Reports the first rule broken, at its first row. Canonical rows are checked
+    in one pass and kept as given, copied only if someone else can write them.
     """
     coded = isinstance(run.samples, np.ndarray) and run.samples.dtype == SAMPLE_DTYPE
     samples = run.samples if coded else np.asarray(run.samples, dtype=_NAMED_DTYPE)
@@ -133,11 +136,6 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
         # a name as given, or a code outside SPLITS
         return f"unknown split {int(code[i]) if coded else named['split'][i]!r}"
 
-    # each row's predecessor within its split, in the order given; -1 if none
-    grouped = np.argsort(code, kind="stable")
-    prev = np.full(samples.size, -1)
-    prev[grouped[1:]] = np.where(code[grouped[1:]] == code[grouped[:-1]], grouped[:-1], -1)
-
     def order_fault(i):
         where = f"step {float(step[i])!r} in split {SPLITS[code[i]]!r}"
         if step[i] == step[prev[i]]:
@@ -145,8 +143,10 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
         return f"decreasing {where} after {float(step[prev[i]])!r} ({row_name(prev[i])})"
 
     with np.errstate(invalid="ignore", over="ignore"):
+        # by step, then code at a shared step: each split's steps rise strictly
+        canonical = np.all((step[1:] > step[:-1]) | ((step[1:] == step[:-1]) & (code[1:] > code[:-1])))
         expected = step * run.batch_tokens
-        rules = (
+        rules = [
             ((code < 0) | (code >= len(SPLITS)), unknown_split),
             (~(np.isfinite(step) & (step > 0)),
              lambda i: f"step must be positive, got {float(step[i])!r}"),
@@ -155,13 +155,25 @@ def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.nda
             (~(np.abs(tokens - expected) <= TOKEN_RTOL * expected),
              lambda i: f"tokens {float(tokens[i])!r} inconsistent with "
                        f"step {float(step[i])!r} at batch {run.batch_tokens!r}"),
-            ((prev >= 0) & (step <= step[prev]), order_fault),
-        )
+        ]
+        if not canonical:
+            # each row's predecessor within its split, in the order given; -1 if none
+            grouped = np.argsort(code, kind="stable")
+            prev = np.full(samples.size, -1)
+            prev[grouped[1:]] = np.where(code[grouped[1:]] == code[grouped[:-1]], grouped[:-1], -1)
+            rules.append(((prev >= 0) & (step <= step[prev]), order_fault))
     for broken, fault in rules:
         rows = np.flatnonzero(broken)
         if rows.size:
             raise ValidationError(f"{row_name(rows[0])}: {fault(rows[0])}")
-    samples = samples[np.lexsort((code, step))]
+    if not canonical:
+        samples = samples[np.lexsort((code, step))]
+    elif coded:
+        # the caller's array, kept only if nobody can write to its memory
+        owner = samples
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        samples = samples if owner is None else samples.copy()
     samples.flags.writeable = False
     return samples
 
@@ -228,4 +240,5 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
         for i in range(1, losses.size):
             out[i] = decay[i - 1] * out[i - 1] + (1.0 - decay[i - 1]) * losses[i]
         samples["loss"][rows] = out
+    samples.flags.writeable = False
     return replace(run, samples=samples)

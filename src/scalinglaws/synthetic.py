@@ -91,6 +91,7 @@ def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
     samples["tokens"] = np.repeat(steps * float(batch_tokens), 2)
     samples["loss"] = np.repeat(losses, 2)
     samples["split"] = np.tile(np.arange(len(SPLITS), dtype=np.int8), steps.size)
+    samples.flags.writeable = False  # nobody else holds it: the record keeps it as is
     return RunRecord(
         run_id=run_id,
         n_params=float(n),

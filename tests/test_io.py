@@ -228,6 +228,13 @@ class TestRunLogErrors:
         with pytest.raises(ValidationError, match=r"line 3.*line 2"):
             read_run_log(io.StringIO(text))
 
+    def test_test_row_before_train_row_reads_as_canonical(self):
+        # valid but not canonical: sorted on the way in, same record
+        rows = [row_line(100, 3.0), row_line(100, 3.1, split="test"), row_line(200, 2.9)]
+        canonical = "\n".join([header_line(), *rows, ""])
+        swapped = "\n".join([header_line(), rows[1], rows[0], rows[2], ""])
+        assert read_run_log(io.StringIO(swapped)) == read_run_log(io.StringIO(canonical))
+
     def test_header_only_file(self):
         with pytest.raises(ValidationError, match="no sample rows"):
             read_run_log(io.StringIO(header_line() + "\n"))

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scalinglaws import (
@@ -15,7 +15,7 @@ from scalinglaws import (
     ema_smooth,
     trim_warmup,
 )
-from scalinglaws.records import SPLIT_CODES
+from scalinglaws.records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, TOKEN_RTOL
 
 
 def make_run(steps, losses, batch=1e6, split="train", **kwargs):
@@ -30,6 +30,37 @@ def make_run(steps, losses, batch=1e6, split="train", **kwargs):
 
 def row(step, tokens, loss, split="train"):
     return (step, tokens, loss, split)
+
+
+HEADER = dict(run_id="r0", n_params=1e7, batch_tokens=1e6, context_length=1024, dataset_tag="c4")
+
+
+def coded(rows):
+    """Tuple rows as a writable SAMPLE_DTYPE array, split names as codes."""
+    samples = np.empty(len(rows), dtype=SAMPLE_DTYPE)
+    for i, (step, tokens, loss, split) in enumerate(rows):
+        samples[i] = (step, tokens, loss, SPLIT_CODES[split])
+    return samples
+
+
+def named(samples):
+    """A SAMPLE_DTYPE array back as tuple rows, split codes as names."""
+    return [(s, t, l, SPLITS[k]) for s, t, l, k in samples.tolist()]
+
+
+def rows_by_split(steps):
+    """Canonical rows per split, from a (train, test) pair of step lists."""
+    return {
+        split: [(s, s * 1e6, 1.0 + 1.0 / s, split) for s in sorted(split_steps)]
+        for split, split_steps in zip(SPLITS, steps)
+    }
+
+
+def canonical(rows):
+    return sorted(rows["train"] + rows["test"], key=lambda r: (r[0], SPLIT_CODES[r[3]]))
+
+
+two_splits = st.tuples(*[st.lists(st.floats(1e-2, 1e6), min_size=1, max_size=10, unique=True)] * 2)
 
 
 class TestSampleValidation:
@@ -162,25 +193,92 @@ class TestCanonicalOrder:
         ]
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        steps=st.tuples(*[st.lists(st.floats(1e-2, 1e6), min_size=1, max_size=10, unique=True)] * 2),
-        data=st.data(),
-    )
+    @given(steps=two_splits, data=st.data())
     def test_any_interleaving_builds_the_same_record(self, steps, data):
-        rows = {
-            split: [(s, s * 1e6, 1.0 + 1.0 / s, split) for s in sorted(split_steps)]
-            for split, split_steps in zip(("train", "test"), steps)
-        }
+        rows = rows_by_split(steps)
         picks = data.draw(st.permutations([k for k, v in rows.items() for _ in v]))
         pending = {k: iter(v) for k, v in rows.items()}
         mixed = [next(pending[k]) for k in picks]
-        header = dict(
-            run_id="r0", n_params=1e7, batch_tokens=1e6,
-            context_length=1024, dataset_tag="c4",
-        )
-        assert RunRecord(samples=mixed, **header) == RunRecord(
-            samples=rows["train"] + rows["test"], **header
-        )
+        expected = RunRecord(samples=rows["train"] + rows["test"], **HEADER)
+        assert RunRecord(samples=mixed, **HEADER) == expected
+        # coded rows, canonical (checked in one pass) or not (sorted), agree
+        assert RunRecord(samples=coded(canonical(rows)), **HEADER) == expected
+        assert RunRecord(samples=coded(mixed), **HEADER) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=two_splits, data=st.data())
+    def test_corrupt_canonical_row_is_named_as_in_tuple_form(self, steps, data):
+        samples = coded(canonical(rows_by_split(steps)))
+        fault = data.draw(st.sampled_from(
+            ["nan step", "zero step", "negative step", "zero loss", "tokens", "code -1",
+             "code 2", "duplicate"]
+        ))
+        if fault == "duplicate":
+            # a row takes the step of the row before it in its split
+            later = [i for i in range(1, samples.size) if samples["split"][i] in samples["split"][:i]]
+            assume(later)
+            i = data.draw(st.sampled_from(later))
+            before = np.flatnonzero(samples["split"][:i] == samples["split"][i])[-1]
+            samples[["step", "tokens"]][i] = samples[["step", "tokens"]][before]
+        else:
+            i = data.draw(st.integers(0, samples.size - 1))
+            column, value = {
+                "nan step": ("step", np.nan), "zero step": ("step", 0.0),
+                "negative step": ("step", -samples["step"][i]), "zero loss": ("loss", 0.0),
+                "tokens": ("tokens", samples["tokens"][i] * (1 + 2 * TOKEN_RTOL)),
+                "code -1": ("split", -1), "code 2": ("split", 2),
+            }[fault]
+            samples[column][i] = value
+        with pytest.raises(ValidationError, match=rf"^sample {i}: ") as err:
+            RunRecord(samples=samples, **HEADER)
+        if fault.startswith("code"):
+            assert str(err.value) == f"sample {i}: unknown split {fault[5:]}"
+        else:
+            with pytest.raises(ValidationError) as tuple_err:
+                RunRecord(samples=named(samples), **HEADER)
+            assert str(err.value) == str(tuple_err.value)
+
+
+class TestStoreAliasing:
+    """A record keeps a given store only if nobody can write to it."""
+
+    def rows(self):
+        return coded([row(step=s, tokens=s * 1e6, loss=3.0) for s in (10.0, 50.0, 100.0, 500.0)])
+
+    def test_writable_array_is_copied(self):
+        source = self.rows()
+        run = RunRecord(samples=source, **HEADER)
+        source["loss"] = 9.0
+        np.testing.assert_array_equal(run.samples["loss"], 3.0)
+        assert not run.samples.flags.writeable
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = self.rows()
+        view = base.view()
+        view.flags.writeable = False
+        run = RunRecord(samples=view, **HEADER)
+        base["loss"] = 9.0
+        np.testing.assert_array_equal(run.samples["loss"], 3.0)
+
+    def test_read_only_view_of_writable_buffer_is_copied(self):
+        buffer = bytearray(self.rows().tobytes())
+        view = np.frombuffer(buffer, dtype=SAMPLE_DTYPE)
+        view.flags.writeable = False
+        run = RunRecord(samples=view, **HEADER)
+        buffer[:] = bytes(len(buffer))
+        np.testing.assert_array_equal(run.samples["loss"], 3.0)
+
+    def test_frozen_array_is_kept(self):
+        source = self.rows()
+        source.flags.writeable = False
+        assert RunRecord(samples=source, **HEADER).samples is source
+
+    def test_trimmed_store_shares_memory(self):
+        run = RunRecord(samples=self.rows(), **HEADER)
+        trimmed = trim_warmup(run, WarmupTrim(min_step=100.0))
+        np.testing.assert_array_equal(trimmed.samples["step"], [100.0, 500.0])
+        assert not trimmed.samples.flags.writeable
+        assert np.shares_memory(trimmed.samples, run.samples)
 
 
 class TestWarmupTrim:
