@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -792,7 +792,7 @@ def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
     curves = runs
     if opts.smooth_half_life is not None:
         curves = [
-            ema_smooth(replace(run, samples=run.samples[run.split_rows(opts.split)]),
+            ema_smooth(run._with_columns({opts.split: run.split_arrays(opts.split)}),
                        opts.smooth_half_life)
             for run in runs
         ]

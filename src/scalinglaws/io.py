@@ -119,8 +119,9 @@ def write_run_log(run: RunRecord, target, fmt: str = "jsonl") -> None:
         "dataset_tag": run.dataset_tag,
     }
     # Python floats: under numpy 2 the repr of a numpy scalar is not a number
-    columns = [run.samples[name].tolist() for name in _ROW_FIELDS[:3]]
-    columns.append([SPLITS[code] for code in run.samples["split"].tolist()])
+    samples = run.samples
+    columns = [samples[name].tolist() for name in _ROW_FIELDS[:3]]
+    columns.append([SPLITS[code] for code in samples["split"].tolist()])
     with _open_out(target) as out:
         out.write(json.dumps(header) + "\n")
         for step, tokens, loss, split in zip(*columns):
@@ -290,7 +291,6 @@ def read_run_log(source) -> RunRecord:
     if last.strip():
         blocks.append(_parse_block([last], len(lines) + 2, fmt, end=""))
     samples = np.concatenate([b[0] for b in blocks] or [np.empty(0, SAMPLE_DTYPE)])
-    samples.flags.writeable = False  # nobody else holds it: the record keeps it as is
     numbers = np.concatenate([b[1] for b in blocks] or [np.empty(0, int)])
 
     return RunRecord(

@@ -1,19 +1,21 @@
 """Containers for training-run data and basic reshaping of it.
 
-A run is a sequence of logged samples at constant batch size, held as
-one columnar store: a numpy structured array (step, tokens, loss, split)
-in canonical order, by step with train before test. The split is an
-int8 code, the index of its name in SPLITS. Both splits may log the same
-steps, so steps must increase within each split only. Rows are validated
-once, when a RunRecord is built; rows already in canonical order are
-checked in one pass and kept as given (copied only if someone else can
-write to them), so reshaping slices the store.
+A run is a sequence of logged samples (step, tokens, loss, split) at
+constant batch size, held as one read-only column set (steps, tokens,
+losses) per split, each in step order; a generated run's identical
+splits share one set. Both splits may log the same steps, so steps must
+increase within each split only. Rows are checked once, when a
+RunRecord is built; reshaping slices or replaces checked columns and
+checks nothing again. ``RunRecord.samples`` derives the rows on demand,
+in canonical order (by step, train before test), with the split as an
+int8 code, the index of its name in SPLITS.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields, replace
-from typing import Callable
+from collections import namedtuple
+from dataclasses import InitVar, dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,9 +47,14 @@ class ConvergedRun:
         positive_real("final_loss", self.final_loss, error=ValidationError)
 
 
+# one or more splits' columns (steps, tokens, losses), in the order given;
+# errors name position p as given row rows[p]
+_ColumnSet = namedtuple("_ColumnSet", "splits rows steps tokens losses")
+
+
 @dataclass(frozen=True)
 class RunRecord:
-    """A single constant-batch training run, frozen once its rows are checked.
+    """A constant-batch training run, frozen once its rows are checked; hashed by its header.
 
     Args:
         run_id: non-empty string carried through serialization, not interpreted.
@@ -57,8 +64,9 @@ class RunRecord:
         dataset_tag: short name of the training corpus, a string.
         samples: (step, tokens, loss, split) rows, a SAMPLE_DTYPE array
             (split as a code) or a sequence of tuples (split as a name);
-            steps strictly increasing within each split. Stored
-            read-only, as SAMPLE_DTYPE, in canonical order.
+            steps strictly increasing within each split. Stored as
+            read-only columns per split; read back through the
+            ``samples`` property.
         row_names: how errors name row i of the given samples ("sample
             i" by default); the log reader names file lines.
     """
@@ -68,114 +76,125 @@ class RunRecord:
     batch_tokens: float
     context_length: int
     dataset_tag: str
-    samples: np.ndarray = ()
+    samples: InitVar[np.ndarray | Sequence | _ColumnSet] = ()
     row_names: InitVar[Callable[[int], str] | None] = None
 
-    def __post_init__(self, row_names):
+    def __post_init__(self, samples, row_names):
         if not (isinstance(self.run_id, str) and self.run_id):
             raise ValidationError(f"run_id must be a non-empty string, got {self.run_id!r}")
         if not isinstance(self.dataset_tag, str):
             raise ValidationError(f"dataset_tag must be a string, got {self.dataset_tag!r}")
         for name in ("n_params", "batch_tokens", "context_length"):
             positive_real(name, getattr(self, name), error=ValidationError)
-        samples = _canonical_samples(self, row_names or (lambda i: f"sample {i}"))
-        object.__setattr__(self, "samples", samples)
+        row_name = row_names or (lambda i: f"sample {i}")
+        groups = [samples] if isinstance(samples, _ColumnSet) else _grouped(self, samples, row_name)
+        object.__setattr__(self, "_columns", _checked(self, groups, row_name))
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
             return NotImplemented
-        # the sample store compares column by column, like every other field
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+        # header fields by value, then each split's columns
+        mine, theirs = self._columns, other._columns
+        return (all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+                and mine.keys() == theirs.keys()
+                and all(np.array_equal(a, b) for s in mine for a, b in zip(mine[s], theirs[s])))
+
+    def _with_columns(self, columns: dict) -> RunRecord:
+        """This header over columns sliced or derived from checked ones: no check again."""
+        run = object.__new__(RunRecord)
+        run.__dict__.update(self.__dict__, _columns=columns)
+        return run
+
+    def _sample_rows(self) -> np.ndarray:
+        """The samples as read-only SAMPLE_DTYPE rows, by step, train before test."""
+        # train's block first, so a stable sort puts train before test at a shared step
+        columns = list(self._columns.values())
+        order = np.argsort(np.concatenate([c[0] for c in columns]), kind="stable")
+        samples = np.empty(order.size, dtype=SAMPLE_DTYPE)
+        for k, name in enumerate(SAMPLE_DTYPE.names[:3]):
+            samples[name] = np.concatenate([c[k] for c in columns])[order]
+        codes = [SPLIT_CODES[split] for split in self._columns]
+        samples["split"] = np.repeat(codes, [c[0].size for c in columns])[order]
+        samples.flags.writeable = False
+        return samples
 
     def splits(self) -> tuple[str, ...]:
         """Splits present in this run, in SPLITS order."""
-        counts = np.bincount(self.samples["split"], minlength=len(SPLITS))
-        return tuple(name for name, count in zip(SPLITS, counts) if count)
-
-    def split_rows(self, split: str) -> np.ndarray:
-        """Mask of one split's rows; raises ValidationError if it has none."""
-        rows = self.samples["split"] == SPLIT_CODES.get(split, -1)
-        if not rows.any():
-            raise ValidationError(f"run {self.run_id!r} has no {split!r} samples")
-        return rows
+        return tuple(self._columns)
 
     def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (steps, tokens, losses) arrays for one split, in step order."""
-        rows = self.split_rows(split)
-        return tuple(self.samples[name][rows] for name in ("step", "tokens", "loss"))
+        """The stored (steps, tokens, losses) of one split, read-only, in step order."""
+        try:
+            return self._columns[split]
+        except KeyError:
+            raise ValidationError(f"run {self.run_id!r} has no {split!r} samples") from None
 
     def final_step(self) -> float:
-        # canonical order sorts by step, so the last row holds the largest
-        return float(self.samples["step"][-1])
+        return max(float(steps[-1]) for steps, _, _ in self._columns.values())
 
 
-def _canonical_samples(run: RunRecord, row_name: Callable[[int], str]) -> np.ndarray:
-    """Check a run's rows and return them in canonical order.
+# set after the class body, where `samples` names the InitVar: a view, not a field
+RunRecord.samples = property(RunRecord._sample_rows)
+
+
+def _grouped(run: RunRecord, samples, row_name: Callable[[int], str]) -> list[_ColumnSet]:
+    """Given rows as one fresh column set per split present, in the order given."""
+    coded = isinstance(samples, np.ndarray) and samples.dtype == SAMPLE_DTYPE
+    rows = samples if coded else np.asarray(samples, dtype=_NAMED_DTYPE)
+    if rows.ndim != 1 or rows.size == 0:
+        raise ValidationError(f"run {run.run_id!r} has no sample rows")
+    code = rows["split"]
+    if not coded:
+        code = np.full(rows.size, -1, dtype=np.int8)
+        for k, name in enumerate(SPLITS):
+            code[rows["split"] == name] = k
+    unknown = np.flatnonzero((code < 0) | (code >= len(SPLITS)))
+    if unknown.size:
+        i = unknown[0]  # a name as given, or a code outside SPLITS
+        raise ValidationError(f"{row_name(i)}: unknown split {int(code[i]) if coded else rows['split'][i]!r}")
+    at = [np.flatnonzero(code == k) for k in range(len(SPLITS))]
+    return [_ColumnSet((split,), at[k], *(rows[name][at[k]] for name in SAMPLE_DTYPE.names[:3]))
+            for k, split in enumerate(SPLITS) if at[k].size]
+
+
+def _checked(run: RunRecord, groups: list[_ColumnSet], row_name: Callable[[int], str]) -> dict:
+    """Check each column set's values and step order; return split -> read-only columns.
 
     The one place that checks row values, per-split step order and
-    token/step consistency, and that turns split names into codes.
-    Reports the first rule broken, at its first row. Canonical rows are checked
-    in one pass and kept as given, copied only if someone else can write them.
+    token/step consistency. Reports the first rule broken, at its first
+    given row, over all the sets.
     """
-    coded = isinstance(run.samples, np.ndarray) and run.samples.dtype == SAMPLE_DTYPE
-    samples = run.samples if coded else np.asarray(run.samples, dtype=_NAMED_DTYPE)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValidationError(f"run {run.run_id!r} has no sample rows")
-    if not coded:
-        named, samples = samples, np.empty(samples.size, dtype=SAMPLE_DTYPE)
-        for name in ("step", "tokens", "loss"):
-            samples[name] = named[name]
-        samples["split"] = -1
-        for k, name in enumerate(SPLITS):
-            samples["split"][named["split"] == name] = k
-    step, tokens, loss, code = (samples[name] for name in SAMPLE_DTYPE.names)
 
-    def unknown_split(i):
-        # a name as given, or a code outside SPLITS
-        return f"unknown split {int(code[i]) if coded else named['split'][i]!r}"
+    def order_fault(g, p):
+        step, before = float(g.steps[p]), float(g.steps[p - 1])
+        where = f"step {step!r} in split {g.splits[0]!r}"
+        if step == before:
+            return f"duplicate {where} (also {row_name(g.rows[p - 1])})"
+        return f"decreasing {where} after {before!r} ({row_name(g.rows[p - 1])})"
 
-    def order_fault(i):
-        where = f"step {float(step[i])!r} in split {SPLITS[code[i]]!r}"
-        if step[i] == step[prev[i]]:
-            return f"duplicate {where} (also {row_name(prev[i])})"
-        return f"decreasing {where} after {float(step[prev[i]])!r} ({row_name(prev[i])})"
-
+    rules = [
+        (lambda g: ~(np.isfinite(g.steps) & (g.steps > 0)),
+         lambda g, p: f"step must be positive, got {float(g.steps[p])!r}"),
+        (lambda g: ~(np.isfinite(g.losses) & (g.losses > 0)),
+         lambda g, p: f"loss must be positive, got {float(g.losses[p])!r}"),
+        (lambda g: ~(np.abs(g.tokens - g.steps * run.batch_tokens)
+                     <= TOKEN_RTOL * (g.steps * run.batch_tokens)),
+         lambda g, p: f"tokens {float(g.tokens[p])!r} inconsistent with "
+                      f"step {float(g.steps[p])!r} at batch {run.batch_tokens!r}"),
+        # values are valid by now; each set's steps must rise strictly
+        (lambda g: np.diff(g.steps, prepend=-np.inf) <= 0, order_fault),
+    ]
     with np.errstate(invalid="ignore", over="ignore"):
-        # by step, then code at a shared step: each split's steps rise strictly
-        canonical = np.all((step[1:] > step[:-1]) | ((step[1:] == step[:-1]) & (code[1:] > code[:-1])))
-        expected = step * run.batch_tokens
-        rules = [
-            ((code < 0) | (code >= len(SPLITS)), unknown_split),
-            (~(np.isfinite(step) & (step > 0)),
-             lambda i: f"step must be positive, got {float(step[i])!r}"),
-            (~(np.isfinite(loss) & (loss > 0)),
-             lambda i: f"loss must be positive, got {float(loss[i])!r}"),
-            (~(np.abs(tokens - expected) <= TOKEN_RTOL * expected),
-             lambda i: f"tokens {float(tokens[i])!r} inconsistent with "
-                       f"step {float(step[i])!r} at batch {run.batch_tokens!r}"),
-        ]
-        if not canonical:
-            # each row's predecessor within its split, in the order given; -1 if none
-            grouped = np.argsort(code, kind="stable")
-            prev = np.full(samples.size, -1)
-            prev[grouped[1:]] = np.where(code[grouped[1:]] == code[grouped[:-1]], grouped[:-1], -1)
-            rules.append(((prev >= 0) & (step <= step[prev]), order_fault))
-    for broken, fault in rules:
-        rows = np.flatnonzero(broken)
-        if rows.size:
-            raise ValidationError(f"{row_name(rows[0])}: {fault(rows[0])}")
-    if not canonical:
-        samples = samples[np.lexsort((code, step))]
-    elif coded:
-        # the caller's array, kept only if nobody can write to its memory
-        owner = samples
-        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-            owner = owner.base
-        samples = samples if owner is None else samples.copy()
-    samples.flags.writeable = False
-    return samples
+        for broken, fault in rules:
+            firsts = [(g, np.flatnonzero(broken(g))[:1]) for g in groups]
+            faults = [(g.rows[at[0]], g, at[0]) for g, at in firsts if at.size]
+            if faults:
+                i, g, p = min(faults, key=lambda f: f[0])
+                raise ValidationError(f"{row_name(i)}: {fault(g, p)}")
+    for g in groups:
+        for column in g[2:]:
+            column.flags.writeable = False
+    return {split: g[2:] for g in groups for split in g.splits}
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +230,15 @@ def trim_warmup(run: RunRecord, trim: WarmupTrim = WarmupTrim()) -> RunRecord:
         ValidationError: if the rule would remove every sample.
     """
     cutoff = trim.threshold(run.final_step())
-    # rows are sorted by step, so the kept ones are a tail of the store
-    first = int(np.searchsorted(run.samples["step"], cutoff))
-    if first == len(run.samples):
+    # each split's steps are sorted, so its kept samples are a tail of its columns
+    firsts = {split: int(np.searchsorted(c[0], cutoff)) for split, c in run._columns.items()}
+    kept = {
+        split: tuple(column[firsts[split]:] for column in c)
+        for split, c in run._columns.items() if firsts[split] < c[0].size
+    }
+    if not kept:
         raise ValidationError(f"warm-up trim removed every sample of run {run.run_id!r}")
-    if first == 0:
-        return run
-    return replace(run, samples=run.samples[first:])
+    return run._with_columns(kept) if any(firsts.values()) else run
 
 
 def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
@@ -230,15 +251,13 @@ def ema_smooth(run: RunRecord, half_life: float) -> RunRecord:
         half_life: steps over which a sample's weight halves; must be > 0.
     """
     positive_real("half_life", half_life, error=ValidationError)
-    samples = run.samples.copy()
-    for split in run.splits():
-        rows = run.split_rows(split)
-        steps, losses = run.samples["step"][rows], run.samples["loss"][rows]
+    columns = {}
+    for split, (steps, tokens, losses) in run._columns.items():
         out = np.empty_like(losses)
         out[0] = losses[0]
         decay = np.exp2(-np.diff(steps) / half_life)
         for i in range(1, losses.size):
             out[i] = decay[i - 1] * out[i - 1] + (1.0 - decay[i - 1]) * losses[i]
-        samples["loss"][rows] = out
-    samples.flags.writeable = False
-    return replace(run, samples=samples)
+        out.flags.writeable = False
+        columns[split] = (steps, tokens, out)
+    return run._with_columns(columns)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .laws import ScalingConstants, integer_at_least, loss_at_convergence, positive_real, solve_loss
-from .records import SAMPLE_DTYPE, SPLITS, ConvergedRun, RunRecord
+from .records import SPLITS, ConvergedRun, RunRecord, _ColumnSet
 
 NOISE_KINDS = ("none", "multiplicative-lognormal")
 
@@ -85,20 +85,16 @@ def _step_grid(num_steps: int, log_every: int) -> np.ndarray:
 
 def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
     tag, context = _run_meta(c)
-    # canonical order: every step's train row, then its identical test row
-    samples = np.empty(2 * steps.size, dtype=SAMPLE_DTYPE)
-    samples["step"] = np.repeat(steps, 2)
-    samples["tokens"] = np.repeat(steps * float(batch_tokens), 2)
-    samples["loss"] = np.repeat(losses, 2)
-    samples["split"] = np.tile(np.arange(len(SPLITS), dtype=np.int8), steps.size)
-    samples.flags.writeable = False  # nobody else holds it: the record keeps it as is
+    # one column set for both splits; errors name each step's train row, 2 * position,
+    # as in the canonical rows
+    columns = _ColumnSet(SPLITS, range(0, 2 * steps.size, 2), steps, steps * float(batch_tokens), losses)
     return RunRecord(
         run_id=run_id,
         n_params=float(n),
         batch_tokens=float(batch_tokens),
         context_length=context,
         dataset_tag=tag,
-        samples=samples,
+        samples=columns,
     )
 
 

@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scalinglaws import (
+    C4_CONSTANTS,
     ConvergedRun,
     RunRecord,
     ValidationError,
     WarmupTrim,
     ema_smooth,
+    gen_trajectory,
     trim_warmup,
 )
 from scalinglaws.records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, TOKEN_RTOL
@@ -268,17 +270,83 @@ class TestStoreAliasing:
         buffer[:] = bytes(len(buffer))
         np.testing.assert_array_equal(run.samples["loss"], 3.0)
 
-    def test_frozen_array_is_kept(self):
-        source = self.rows()
-        source.flags.writeable = False
-        assert RunRecord(samples=source, **HEADER).samples is source
+    def test_split_arrays_are_the_stored_columns(self):
+        run = RunRecord(samples=self.rows(), **HEADER)
+        columns = run.split_arrays("train")
+        assert all(a is b for a, b in zip(columns, run.split_arrays("train")))
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 9.0
 
-    def test_trimmed_store_shares_memory(self):
+    def test_trimmed_columns_share_memory(self):
         run = RunRecord(samples=self.rows(), **HEADER)
         trimmed = trim_warmup(run, WarmupTrim(min_step=100.0))
-        np.testing.assert_array_equal(trimmed.samples["step"], [100.0, 500.0])
-        assert not trimmed.samples.flags.writeable
-        assert np.shares_memory(trimmed.samples, run.samples)
+        np.testing.assert_array_equal(trimmed.split_arrays("train")[0], [100.0, 500.0])
+        for kept, stored in zip(trimmed.split_arrays("train"), run.split_arrays("train")):
+            assert not kept.flags.writeable
+            assert np.shares_memory(kept, stored)
+
+
+class TestHash:
+    def test_equal_records_hash_equal(self):
+        generated = gen_trajectory(C4_CONSTANTS, 1e7, 1e5, 50, log_every=5, run_id="r0")
+        header = {f.name: getattr(generated, f.name) for f in dataclasses.fields(generated)}
+        runs = [
+            generated,
+            RunRecord(samples=named(generated.samples), **header),
+            RunRecord(samples=generated.samples.copy(), **header),
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert len({hash(run) for run in runs}) == 1
+        assert len(set(runs)) == 1
+        assert hash(runs[0]) != hash(RunRecord(samples=generated.samples, **{**header, "run_id": "r1"}))
+
+
+def ema(steps, losses, half_life):
+    """The smoothing, written out for one split."""
+    out = [losses[0]]
+    for gap, loss in zip(np.diff(steps), losses[1:]):
+        decay = 2.0 ** (-gap / half_life)
+        out.append(decay * out[-1] + (1.0 - decay) * loss)
+    return out
+
+
+class TestColumnStoreAgainstRows:
+    """The per-split columns against the same operations done on the rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.tuples(*[st.lists(st.floats(1.0, 1e4), max_size=8, unique=True)] * 2),
+        form=st.sampled_from(["tuples", "coded"]),
+        data=st.data(),
+    )
+    def test_matches_row_operations(self, steps, form, data):
+        assume(any(steps))
+        rows = rows_by_split(steps)
+        picks = data.draw(st.permutations([k for k, v in rows.items() for _ in v]))
+        pending = {k: iter(v) for k, v in rows.items()}
+        mixed = [next(pending[k]) for k in picks]
+        run = RunRecord(samples=coded(mixed) if form == "coded" else mixed, **HEADER)
+        samples = run.samples
+        assert run.splits() == tuple(split for split in SPLITS if rows[split])
+        for split in run.splits():
+            gathered = samples[samples["split"] == SPLIT_CODES[split]]
+            columns = run.split_arrays(split)
+            for column, name in zip(columns, ("step", "tokens", "loss")):
+                np.testing.assert_array_equal(column, gathered[name])
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+            smoothed = ema_smooth(run, half_life=50.0).split_arrays(split)
+            np.testing.assert_array_equal(smoothed[:2], columns[:2])
+            np.testing.assert_allclose(smoothed[2], ema(columns[0], columns[2], 50.0), rtol=1e-12)
+        trim = WarmupTrim(min_step=data.draw(st.floats(0.0, 1e4)), final_fraction=0.1)
+        kept = samples[samples["step"] >= trim.threshold(run.final_step())]
+        if kept.size:
+            assert trim_warmup(run, trim) == RunRecord(samples=kept, **HEADER)
+        else:
+            with pytest.raises(ValidationError, match="removed every sample"):
+                trim_warmup(run, trim)
 
 
 class TestWarmupTrim:

@@ -6,6 +6,7 @@ import pytest
 from scalinglaws import (
     C4_CONSTANTS,
     NoiseSpec,
+    RunRecord,
     ValidationError,
     WarmupSpec,
     gen_batch_scan,
@@ -15,6 +16,8 @@ from scalinglaws import (
     loss_at_convergence,
     solve_loss,
 )
+from scalinglaws.records import SPLITS
+from scalinglaws.synthetic import _to_record
 
 C4 = C4_CONSTANTS
 
@@ -181,3 +184,23 @@ class TestConverged:
         _, _, losses = run.split_arrays("test")
         target = loss_at_convergence(C4, 1e7)
         assert np.mean(np.log(losses / target)) == pytest.approx(0.0, abs=3 * 0.01 / 20)
+
+
+class TestGeneratedColumnsChecked:
+    """The one column set a generator hands over is checked like given rows."""
+
+    @pytest.mark.parametrize("steps,losses,match", [
+        ([100.0, 200.0, 300.0], [3.0, np.nan, 2.0], "loss must be positive"),
+        ([0.0, 200.0, 300.0], [3.0, 2.5, 2.0], "step must be positive"),
+        ([100.0, -200.0, 300.0], [3.0, 2.5, 2.0], "step must be positive"),
+        ([100.0, 300.0, 200.0], [3.0, 2.5, 2.0], "decreasing step"),
+        ([100.0, 200.0, 200.0], [3.0, 2.5, 2.0], "duplicate step"),
+    ])
+    def test_bad_columns_raise_as_rows_do(self, steps, losses, match):
+        steps, losses = np.array(steps), np.array(losses)
+        with pytest.raises(ValidationError, match=match) as err:
+            _to_record("r0", C4, 1e7, 1e6, steps, losses)
+        rows = [(s, s * 1e6, loss, split) for s, loss in zip(steps, losses) for split in SPLITS]
+        with pytest.raises(ValidationError) as row_err:
+            RunRecord("r0", 1e7, 1e6, 1024, "c4", rows)
+        assert str(err.value) == str(row_err.value)
