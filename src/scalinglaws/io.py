@@ -3,9 +3,10 @@
 Run logs are a single JSON header line followed by one row per logged
 sample, either JSON objects (the default) or bare comma-separated
 values when the header declares format=csv. The body is split on "\n"
-and parsed in blocks of lines, each in one pass: one str.split for a
-csv block, one json.loads for a jsonl block. A block that pass cannot
-take whole (a bad row, blank lines, padding, extra JSON structure) is
+and parsed in blocks of lines, each in one pass: one np.loadtxt pass
+per csv block, one json.loads for a jsonl block. A block that pass
+cannot take whole (a bad row, blank lines, padding, extra JSON
+structure, a character np.loadtxt reads otherwise than float()) is
 parsed line by line instead, so errors name their line. Rows are then
 validated once, together, when the RunRecord is built; the writer
 writes from the record's columns. Constants documents are a
@@ -42,6 +43,9 @@ _ROW_FIELDS = ("step", "tokens", "loss", "split")
 # lines parsed in one pass at most, so a long log never holds every row's
 # parsed objects at once
 _BLOCK_LINES = 4096
+# a csv row as np.loadtxt reads it; the split cell holds one character more
+# than the longest name, so a longer cell is never cut down to a name
+_CSV_DTYPE = np.dtype(SAMPLE_DTYPE.descr[:3] + [("split", f"U{max(map(len, SPLITS)) + 1}")])
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +173,46 @@ def _parse_row(text: str, line_no: int, fmt: str) -> tuple:
 
 
 def _bulk_columns(lines: list[str], fmt: str) -> list | None:
-    """A block's (step, tokens, loss, split code) columns, parsed in one pass.
+    """A block's (step, tokens, loss, split code) columns, parsed in one pass:
+    one np.loadtxt pass per csv block, one json.loads per jsonl block.
 
     Returns None where the pass cannot prove that each line is one row
     that _parse_row would take, and take to the same values.
     """
     n = len(lines)
     if fmt == "csv":
-        # a "\n" cell at every fifth place: each line has exactly four fields
-        cells = ",\n,".join(lines).split(",")
-        if len(cells) != 5 * n - 1 or cells[4::5].count("\n") != n - 1:
-            return None
-        fields = [cells[k::5] for k in range(4)]
-    else:
-        # Each line must be one JSON object, alone. A string cannot run over a
-        # raw newline, so if every line starts with "{", ends with "}" and holds
-        # no other brace, the "}" that ends a line closes the object its "{"
-        # opened: no container crosses a line break.
-        text = ",\n".join(lines)
-        if not (text[:1] == "{" and text[-1:] == "}"
-                and text.count("{") == n == text.count("}")
-                and text.count("},\n{") == n - 1):
+        # np.loadtxt reads each line as _parse_row would only where these hold:
+        # - no "\r": loadtxt takes it for a line end;
+        # - no NUL: the U dtype drops one after the split name;
+        # - none of \x1c-\x1f: loadtxt strips them around a number, float() does not;
+        # - 3n commas: as loadtxt takes four fields on every line it reads, no
+        #   line is blank, so none is skipped (nor a block of them warned of).
+        text = "\n".join(lines)
+        if text.count(",") != 3 * n or any(c in text for c in "\r\x00\x1c\x1d\x1e\x1f"):
             return None
         try:
-            rows = json.loads("[" + text + "]")
-        except json.JSONDecodeError:
+            rows = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError:  # a row _parse_row rejects, or a cell only float() takes: "1_0"
             return None
-        fields = [map(itemgetter(k), rows) for k in _ROW_FIELDS]
+        codes = np.full(n, -1, dtype=np.int8)
+        for code, name in enumerate(SPLITS):
+            codes[rows["split"] == name] = code
+        # a cell that is no name as it stands (" train", "trainee") is left to _parse_row
+        return None if (codes < 0).any() else [rows[f] for f in _ROW_FIELDS[:3]] + [codes]
+    # Each line must be one JSON object, alone. A string cannot run over a
+    # raw newline, so if every line starts with "{", ends with "}" and holds
+    # no other brace, the "}" that ends a line closes the object its "{"
+    # opened: no container crosses a line break.
+    text = ",\n".join(lines)
+    if not (text[:1] == "{" and text[-1:] == "}"
+            and text.count("{") == n == text.count("}")
+            and text.count("},\n{") == n - 1):
+        return None
+    try:
+        rows = json.loads("[" + text + "]")
+    except json.JSONDecodeError:
+        return None
+    fields = [map(itemgetter(k), rows) for k in _ROW_FIELDS]
     try:
         # float() as _parse_row converts; a missing field or a name outside
         # SPLITS is a KeyError

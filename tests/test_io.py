@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from contextlib import nullcontext
 from unittest import mock
 
@@ -382,9 +383,40 @@ _crossing_rows = (
 )
 
 
+# csv cells that np.loadtxt and _parse_row could read differently (numbers
+# only float() takes or only loadtxt strips, names either one alters),
+# beside values both read and the record rejects
+_CSV_EDGE_CELLS = [
+    "train\x00", "\r", " ", "\t", "1_0", "\u0665", "\uff13.\uff15", "3.0\xa0", '"3.0"',
+    '"train"', " train", "trainee", "test\t", "1e400", "nan", "1\x1c", "\x1f2", "3.5\r", "",
+]
+
+
+@st.composite
+def csv_edge_texts(draw):
+    """A csv log of good rows, some with a cell replaced or padded by an
+    edge literal, some lines replaced by one (blank lines among them)."""
+    lines = [header_line(format="csv")]
+    for step in range(1, draw(st.integers(1, 6)) + 1):
+        cells = [str(step), f"{step}e6", "3.0", draw(st.sampled_from(["train", "test"]))]
+        edge = draw(st.sampled_from(_CSV_EDGE_CELLS))
+        k = draw(st.integers(0, 3))
+        how = draw(st.sampled_from(["keep", "replace", "before", "after", "line"]))
+        if how == "replace":
+            cells[k] = edge
+        elif how in ("before", "after"):
+            cells[k] = edge + cells[k] if how == "before" else cells[k] + edge
+        lines.append(edge if how == "line" else ",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _csv_log(*rows):
+    return header_line(format="csv") + "\n" + "\n".join(rows) + "\n"
+
+
 class TestBulkReader:
     @settings(max_examples=60, deadline=None)
-    @given(text=run_log_texts(), block_lines=st.integers(1, 5))
+    @given(text=st.one_of(run_log_texts(), csv_edge_texts()), block_lines=st.integers(1, 5))
     @example(text=header_line() + "\n" + _crossing_rows, block_lines=4096)
     @example(
         # a string cannot carry a row's closing brace into the next line
@@ -398,8 +430,45 @@ class TestBulkReader:
     )
     @example(text=header_line(format="csv") + "\n100,1e8,3.0,train\x0c\nbad\n", block_lines=4096)
     @example(text=header_line(format="csv") + "\n100,1e8,3.0,train,0\n", block_lines=4096)
+    # np.loadtxt drops a NUL after a name, ends a line at "\r", skips blank
+    # lines and strips \x1c-\x1f around a number; float() alone takes "1_0"
+    # and non-ASCII digits
+    @example(text=_csv_log("100,1e8,3.0,train\x00"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0,train\r200,2e8,2.9,train", ""), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0,train\r", "", "200,2e8,2.9,train"), block_lines=4096)
+    @example(text=_csv_log(" ", "\t", "\x0c"), block_lines=4096)
+    @example(text=_csv_log("1_0,1e7,3.0,train"), block_lines=4096)
+    @example(text=_csv_log("\u0665,5e6,3.0,train"), block_lines=4096)
+    @example(text=_csv_log("\uff13.\uff15,3.5e6,3.0,train"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0\xa0,train"), block_lines=4096)
+    @example(text=_csv_log('"100",1e8,3.0,train'), block_lines=4096)
+    @example(text=_csv_log('100,1e8,3.0,"train"'), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0, train"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0,trainee"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0,test\t"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.0,train", "200,2e8,2.9,train,0", "300,3e8,2.8"),
+             block_lines=4096)
+    @example(text=_csv_log("1e400,1e8,3.0,train"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,nan,train"), block_lines=4096)
+    @example(text=_csv_log("100\x1c,1e8,3.0,train"), block_lines=4096)
+    @example(text=_csv_log("100,1e8,3.5\r,train"), block_lines=4096)
     def test_bulk_parse_matches_line_by_line(self, text, block_lines):
         assert read_outcome(text, block_lines) == read_outcome(text, block_lines, bulk=False)
+
+    @pytest.mark.parametrize("text,block_lines,rows", [
+        (_csv_log("", "", ""), 4096, None),  # a block of blank lines only
+        (header_line(format="csv") + "\n", 4096, None),  # a header alone
+        (_csv_log("100,1e8,3.0,train", "", "", "", "200,2e8,2.9,train"), 2, 2),
+        (header_line(format="csv") + "\n100,1e8,3.0,train", 4096, 1),  # no last newline
+    ])
+    def test_no_warning_leaks(self, text, block_lines, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = read_outcome(text, block_lines)
+        if rows is None:
+            assert outcome == (ValidationError, "run 'r0' has no sample rows", None)
+        else:
+            assert len(outcome.samples) == rows
 
     def test_rows_joined_across_lines_rejected(self):
         with pytest.raises(ParseError, match="bad JSON row") as err:
