@@ -174,6 +174,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.budget_flops is not None and args.n_params is not None:
+        print("error: --n-params goes with --target-loss, not --budget-flops", file=sys.stderr)
+        return 2
     constants = read_constants(args.constants).constants()
     rows = []
     if args.budget_flops is not None:

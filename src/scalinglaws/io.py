@@ -2,9 +2,9 @@
 
 Run logs are a single JSON header line followed by one row per logged
 sample, either JSON objects (the default) or bare comma-separated
-values when the header declares format=csv. The body is split on "\n"
-and parsed in blocks of lines, each in one pass: one np.loadtxt pass
-per csv block, one json.loads for a jsonl block. A block that pass
+values when the header declares format=csv. The body is streamed in
+blocks of lines, each parsed as it arrives in one pass: one np.loadtxt
+pass per csv block, one json.loads for a jsonl block. A block that pass
 cannot take whole (a bad row, blank lines, padding, extra JSON
 structure, a character np.loadtxt reads otherwise than float()) is
 parsed line by line instead, so errors name their line. Rows are then
@@ -26,6 +26,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DomainError, FormatVersionError, ParseError, ValidationError
 from .fitting import FitReport
 from .laws import CONSTANT_NAMES, ScalingConstants, check_constants
-from .records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, RunRecord
+from .records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, RunRecord, split_codes
 
 SCHEMA_VERSION = 1
 RUN_FORMATS = ("jsonl", "csv")
@@ -187,26 +188,24 @@ def _bulk_columns(lines: list[str], fmt: str) -> list | None:
         # - none of \x1c-\x1f: loadtxt strips them around a number, float() does not;
         # - 3n commas: as loadtxt takes four fields on every line it reads, no
         #   line is blank, so none is skipped (nor a block of them warned of).
-        text = "\n".join(lines)
+        text = "".join(lines)
         if text.count(",") != 3 * n or any(c in text for c in "\r\x00\x1c\x1d\x1e\x1f"):
             return None
         try:
             rows = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
         except ValueError:  # a row _parse_row rejects, or a cell only float() takes: "1_0"
             return None
-        codes = np.full(n, -1, dtype=np.int8)
-        for code, name in enumerate(SPLITS):
-            codes[rows["split"] == name] = code
+        codes = split_codes(rows["split"])
         # a cell that is no name as it stands (" train", "trainee") is left to _parse_row
         return None if (codes < 0).any() else [rows[f] for f in _ROW_FIELDS[:3]] + [codes]
     # Each line must be one JSON object, alone. A string cannot run over a
-    # raw newline, so if every line starts with "{", ends with "}" and holds
-    # no other brace, the "}" that ends a line closes the object its "{"
-    # opened: no container crosses a line break.
-    text = ",\n".join(lines)
-    if not (text[:1] == "{" and text[-1:] == "}"
+    # raw newline, so if every line starts with "{", ends with "}\n" ("}" if
+    # the stream ends there) and holds no other brace, the "}" that ends a
+    # line closes the object its "{" opened: no container crosses a line break.
+    text = ",".join(lines)
+    if not (text[:1] == "{" and text.endswith(("}", "}\n"))
             and text.count("{") == n == text.count("}")
-            and text.count("},\n{") == n - 1):
+            and text.count("}\n,{") == n - 1):
         return None
     try:
         rows = json.loads("[" + text + "]")
@@ -222,13 +221,11 @@ def _bulk_columns(lines: list[str], fmt: str) -> list | None:
         return None
 
 
-def _parse_block(
-    lines: list[str], first_line: int, fmt: str, end: str = "\n"
-) -> tuple[np.ndarray, np.ndarray]:
+def _parse_block(lines: list[str], first_line: int, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """A block's non-blank rows as SAMPLE_DTYPE, with their line numbers.
 
-    Lines come without their ending, which _parse_row gets back as ``end``:
-    JSON names a string cut by a newline otherwise than one cut by the end.
+    Lines keep the ending the stream gave them, so _parse_row sees each as
+    read: JSON names a string cut by a newline otherwise than one cut by the end.
     """
     columns = _bulk_columns(lines, fmt)
     if columns is not None:
@@ -237,7 +234,7 @@ def _parse_block(
         rows, numbers = [], []
         for line_no, text in enumerate(lines, start=first_line):
             if text.strip():
-                rows.append(_parse_row(text + end, line_no, fmt))
+                rows.append(_parse_row(text, line_no, fmt))
                 numbers.append(line_no)
         columns = list(zip(*rows)) or [()] * len(_ROW_FIELDS)
         numbers = np.array(numbers, dtype=int)
@@ -298,15 +295,11 @@ def read_run_log(source) -> RunRecord:
         fmt = header.get("format", "jsonl")
         if fmt not in RUN_FORMATS:
             raise ParseError(f"unknown run-log format {fmt!r}", line=1)
-        # "\n" alone ends a line, as in iterating the stream; never splitlines()
-        lines = handle.read().split("\n")
-    last = lines.pop()  # after the last newline: nothing, or a row without one
-    blocks = [
-        _parse_block(lines[start:start + _BLOCK_LINES], start + 2, fmt)
-        for start in range(0, len(lines), _BLOCK_LINES)
-    ]
-    if last.strip():
-        blocks.append(_parse_block([last], len(lines) + 2, fmt, end=""))
+        # lines end where iterating the stream ends them; never splitlines()
+        blocks, first_line = [], 2
+        while lines := list(islice(handle, _BLOCK_LINES)):
+            blocks.append(_parse_block(lines, first_line, fmt))
+            first_line += len(lines)
     samples = np.concatenate([b[0] for b in blocks] or [np.empty(0, SAMPLE_DTYPE)])
     numbers = np.concatenate([b[1] for b in blocks] or [np.empty(0, int)])
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .laws import positive_real
+from .laws import integer_at_least, positive_real
 
 SPLITS = ("train", "test")
 # split name -> the code stored in the split column
@@ -84,8 +84,9 @@ class RunRecord:
             raise ValidationError(f"run_id must be a non-empty string, got {self.run_id!r}")
         if not isinstance(self.dataset_tag, str):
             raise ValidationError(f"dataset_tag must be a string, got {self.dataset_tag!r}")
-        for name in ("n_params", "batch_tokens", "context_length"):
+        for name in ("n_params", "batch_tokens"):
             positive_real(name, getattr(self, name), error=ValidationError)
+        integer_at_least("context_length", self.context_length, 1, ValidationError)
         row_name = row_names or (lambda i: f"sample {i}")
         groups = [samples] if isinstance(samples, _ColumnSet) else _grouped(self, samples, row_name)
         object.__setattr__(self, "_columns", _checked(self, groups, row_name))
@@ -137,17 +138,21 @@ class RunRecord:
 RunRecord.samples = property(RunRecord._sample_rows)
 
 
+def split_codes(names: np.ndarray) -> np.ndarray:
+    """Each split name's int8 code, -1 for a name outside SPLITS."""
+    codes = np.full(names.shape, -1, dtype=np.int8)
+    for code, name in enumerate(SPLITS):
+        codes[names == name] = code
+    return codes
+
+
 def _grouped(run: RunRecord, samples, row_name: Callable[[int], str]) -> list[_ColumnSet]:
     """Given rows as one fresh column set per split present, in the order given."""
     coded = isinstance(samples, np.ndarray) and samples.dtype == SAMPLE_DTYPE
     rows = samples if coded else np.asarray(samples, dtype=_NAMED_DTYPE)
     if rows.ndim != 1 or rows.size == 0:
         raise ValidationError(f"run {run.run_id!r} has no sample rows")
-    code = rows["split"]
-    if not coded:
-        code = np.full(rows.size, -1, dtype=np.int8)
-        for k, name in enumerate(SPLITS):
-            code[rows["split"] == name] = k
+    code = rows["split"] if coded else split_codes(rows["split"])
     unknown = np.flatnonzero((code < 0) | (code >= len(SPLITS)))
     if unknown.size:
         i = unknown[0]  # a name as given, or a code outside SPLITS

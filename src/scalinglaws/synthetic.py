@@ -68,12 +68,6 @@ class WarmupSpec:
         return self.inflation * np.clip(1.0 - steps / self.length, 0.0, None)
 
 
-def _run_meta(c: ScalingConstants):
-    tag = c.meta.get("dataset_tag", "synthetic")
-    context = int(c.meta.get("context_length", _DEFAULT_CONTEXT))
-    return tag, context
-
-
 def _step_grid(num_steps: int, log_every: int) -> np.ndarray:
     integer_at_least("num_steps", num_steps, 1, ValidationError)
     integer_at_least("log_every", log_every, 1, ValidationError)
@@ -84,7 +78,8 @@ def _step_grid(num_steps: int, log_every: int) -> np.ndarray:
 
 
 def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
-    tag, context = _run_meta(c)
+    context = c.meta.get("context_length", _DEFAULT_CONTEXT)
+    integer_at_least('meta["context_length"]', context, 1, ValidationError)
     # one column set for both splits; errors name each step's train row, 2 * position,
     # as in the canonical rows
     columns = _ColumnSet(SPLITS, range(0, 2 * steps.size, 2), steps, steps * float(batch_tokens), losses)
@@ -93,7 +88,7 @@ def _to_record(run_id, c, n, batch_tokens, steps, losses) -> RunRecord:
         n_params=float(n),
         batch_tokens=float(batch_tokens),
         context_length=context,
-        dataset_tag=tag,
+        dataset_tag=c.meta.get("dataset_tag", "synthetic"),
         samples=columns,
     )
 

@@ -177,6 +177,17 @@ class TestPlan:
         assert rc == 1
         assert "converged floor" in capsys.readouterr().err
 
+    def test_n_params_with_budget_is_usage_fault(self, constants_path, capsys):
+        rc = run_cli(
+            "plan", "--constants", constants_path,
+            "--budget-flops", "1e21", "--n-params", "1e9",
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--n-params" in captured.err
+
     @pytest.mark.parametrize("target", ["1e-30", "1e30"])
     def test_target_outside_double_range_is_operation_error(self, constants_path, capsys, target):
         rc = run_cli("plan", "--constants", constants_path, "--target-loss", target)

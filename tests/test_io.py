@@ -506,6 +506,23 @@ class TestBulkReader:
             read_run_log(io.StringIO("\n".join(lines)))
 
 
+class _UnreadableStream(io.StringIO):
+    """A text stream that can be iterated by line but never read whole."""
+
+    def read(self, *args):
+        raise AssertionError("the whole stream was read at once")
+
+
+class TestStreamingReader:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_body_is_read_block_by_block(self, fmt):
+        run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=200, log_every=20)
+        written = io.StringIO()
+        write_run_log(run, written, fmt=fmt)
+        with mock.patch.object(sio, "_BLOCK_LINES", 3):
+            assert read_run_log(_UnreadableStream(written.getvalue())) == run
+
+
 class TestConstantsDocuments:
     def test_constants_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "constants.json"

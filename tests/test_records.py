@@ -136,6 +136,7 @@ class TestRunValidation:
         ("n_params", 0.0), ("batch_tokens", -1.0),
         ("context_length", 0), ("run_id", ""),
         ("n_params", True), ("context_length", True),
+        ("context_length", 1024.5), ("context_length", 2048.0),
         ("run_id", 5), ("run_id", None), ("dataset_tag", None), ("dataset_tag", 3),
     ])
     def test_header_fields_validated(self, field, value):

@@ -1,5 +1,7 @@
 """Synthetic run generation against the closed-form laws."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,12 @@ class TestTrajectory:
         assert run.dataset_tag == C4.meta["dataset_tag"]
         assert run.context_length == C4.meta["context_length"]
         assert run.run_id == "sim-n2e+07-b100000-r0"
+
+    @pytest.mark.parametrize("context", [1024.7, 2048.0, True, "2048", 0])
+    def test_context_length_meta_never_coerced(self, context):
+        c = dataclasses.replace(C4, meta={**C4.meta, "context_length": context})
+        with pytest.raises(ValidationError, match=r'meta\["context_length"\]'):
+            gen_trajectory(c, n=1e7, batch_tokens=1e5, num_steps=100, log_every=10)
 
     def test_warmup_inflates_head_only(self):
         clean = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=1000, log_every=100)
