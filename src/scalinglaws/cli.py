@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ScalingLawError, ValidationError
 from .fitting import (
     FitOptions,
+    _one_setup,
     diagnose_infinite_batch,
     diagnose_infinite_data,
     extract_converged_run,
@@ -131,11 +132,13 @@ def _fit_options(args, **extra) -> FitOptions:
 
 def cmd_fit(args) -> int:
     options = _fit_options(args, post_correct=not args.no_post_correct)
-    converged = [
-        extract_converged_run(read_run_log(path), trim=options.trim, split=args.split)
-        for path in args.converged_log
-    ]
+    converged_logs = [read_run_log(path) for path in args.converged_log]
     big_batch = read_run_log(args.big_batch_log)
+    # a converged run keeps no header, so the setup is checked before they go
+    _one_setup([big_batch, *converged_logs])
+    converged = [
+        extract_converged_run(run, trim=options.trim, split=args.split) for run in converged_logs
+    ]
     scans = [read_run_log(path) for path in args.scan_log or []]
     report = fit_full_pipeline(converged, big_batch, scans, options)
 

@@ -52,6 +52,10 @@ _MIN_EXCESS = 0.25
 # adds no lag, and stays narrow: over a convex curve it overstates the loss
 # by the width squared.
 _DENOISE_WINDOW = 11
+# Contour extraction compares targets with samples, and fits refinement
+# windows, in blocks of at most this many cells, so neither the target
+# count nor the window width bounds its memory.
+_BLOCK_CELLS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +174,8 @@ class FitOptions:
         if self.smooth_half_life is not None:
             positive_real("smooth_half_life", self.smooth_half_life, error=ValidationError)
         if self.contour_targets is not None:
-            try:  # a tuple, so no caller can change the checked targets
-                object.__setattr__(self, "contour_targets", tuple(self.contour_targets))
-            except TypeError:
-                raise ValidationError(f"contour_targets must be a sequence, got {self.contour_targets!r}") from None
-            for target in self.contour_targets:
-                positive_real("each contour target", target, error=ValidationError)
+            # a tuple, so no caller can change the checked targets
+            object.__setattr__(self, "contour_targets", _checked_targets(self.contour_targets))
         _check_target_knobs(self.num_targets, self.target_inset, "target_inset")
         for name in ("refine_batch_law", "post_correct"):
             if not isinstance(getattr(self, name), bool):
@@ -227,15 +227,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> StageFit:
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise InsufficientDataError(f"need at least 2 points, got {x.size}")
-    xm = x - x.mean()
+    x_bar, y_bar = x.mean(), y.mean()
+    xm = x - x_bar
+    ym = y - y_bar
     sxx = float(xm @ xm)
     if sxx == 0.0:
         raise InsufficientDataError("regressor values are all identical")
-    slope = float(xm @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
+    slope = float(xm @ ym) / sxx
+    intercept = float(y_bar - slope * x_bar)
     resid = y - (intercept + slope * x)
     ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_tot = float(np.sum(ym**2))
     if ss_tot > 0.0:
         r_squared = 1.0 - ss_res / ss_tot
     else:
@@ -263,6 +265,28 @@ def _one_model_size(runs) -> None:
     for run in runs[1:]:
         if abs(run.n_params - n0) > 1e-9 * n0:
             raise ValidationError(f"runs mix model sizes {n0!r} and {run.n_params!r}")
+
+
+def _one_setup(runs) -> None:
+    """All runs share one experiment setup: dataset tag and context length."""
+    for name in ("dataset_tag", "context_length"):
+        for run in runs[1:]:
+            if getattr(run, name) != getattr(runs[0], name):
+                raise ValidationError(
+                    f"runs mix setups: run {runs[0].run_id!r} has {name} "
+                    f"{getattr(runs[0], name)!r}, run {run.run_id!r} has {getattr(run, name)!r}"
+                )
+
+
+def _checked_targets(targets) -> tuple:
+    """The one contour-target contract: a 1-D sequence of positive finite
+    reals, bools refused; ValidationError names a bad target."""
+    if isinstance(targets, str) or not np.iterable(targets):
+        raise ValidationError(f"contour targets must be a 1-D sequence of losses, got {targets!r}")
+    values = tuple(targets)
+    for target in values:
+        positive_real("each contour target", target, error=ValidationError)
+    return values
 
 
 def _check_target_knobs(num_targets, inset, inset_name: str) -> None:
@@ -399,46 +423,58 @@ def default_contour_targets(
     return np.linspace(lo + inset * span, hi - inset * span, num_targets)
 
 
-def _first_crossing(steps: np.ndarray, losses: np.ndarray, target: float) -> tuple[int, float] | None:
-    """First crossing of ``target``: sample index and log-interpolated step."""
-    diff = losses - target
-    hits = np.nonzero(diff == 0.0)[0]
-    flips = np.nonzero(diff[:-1] * diff[1:] < 0.0)[0]
-    hit = hits[0] if hits.size else None
-    flip = flips[0] if flips.size else None
-    if hit is not None and (flip is None or hit <= flip):
-        return int(hit), float(steps[hit])
-    if flip is None:
-        return None
-    i = int(flip)
-    ln_lo, ln_hi = math.log(steps[i]), math.log(steps[i + 1])
-    frac = (target - losses[i]) / (losses[i + 1] - losses[i])
-    return i, math.exp(ln_lo + frac * (ln_hi - ln_lo))
+def _first_past(losses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per target, the index of the first sample at or past it, seen from the
+    side the curve starts on: at or below a target under the first loss, at
+    or above any other. -1 where no sample is."""
+    first = np.full(targets.size, -1)
+    rows = max(1, _BLOCK_CELLS // losses.size)
+    below = targets < losses[0]
+    for side, past_of in ((below, np.less_equal), (~below, np.greater_equal)):
+        index = np.flatnonzero(side)
+        for b in range(0, index.size, rows):
+            at = index[b : b + rows]
+            past = past_of(losses, targets[at, None])
+            k = past.argmax(axis=1)
+            first[at] = np.where(past[np.arange(at.size), k], k, -1)
+    return first
 
 
-def _refine_crossing(
-    steps: np.ndarray, losses: np.ndarray, target: float, seed: int, window: int
-) -> float | None:
-    """Re-solve a crossing by a local line fit of loss against log step.
-
-    The raw first crossing is biased early under noise (any downward
-    blip before the true crossing wins), so it only seeds a window here
-    and the line through all samples in the window locates the contour.
-    Returns None when the window cannot support a fit, in which case the
-    caller keeps the interpolated seed.
-    """
-    lo = max(0, seed - window)
-    hi = min(len(steps), seed + window + 2)
-    if hi - lo < 4:
-        return None
-    ln_s = np.log(steps[lo:hi])
-    line = _ols(ln_s, losses[lo:hi])
-    if line.slope >= 0:
-        return None
-    ln_star = (target - line.intercept) / line.slope
-    if ln_star < ln_s[0] or ln_star > ln_s[-1]:
-        return None
-    return math.exp(ln_star)
+def _crossings(steps, losses, k, start, end, targets, w) -> np.ndarray:
+    """Crossing steps of (run, target) pairs in the pooled columns of a scan,
+    given the first sample k at or past each target and its run's [start, end)."""
+    # a sample equal to the target is the crossing; otherwise the crossing
+    # lies between k and the sample before, where the window is seeded
+    flip = losses[k] != targets
+    seed = k - flip
+    crossing = steps[k]
+    i, j = seed[flip], k[flip]
+    frac = (targets[flip] - losses[i]) / (losses[j] - losses[i])
+    ln_lo, ln_hi = np.log(steps[i]), np.log(steps[j])
+    crossing[flip] = np.exp(ln_lo + frac * (ln_hi - ln_lo))
+    lo = np.maximum(start, seed - w)
+    hi = np.minimum(end, seed + w + 2)
+    fit = np.flatnonzero(hi - lo >= 4)
+    if fit.size:
+        lo, hi, targets = lo[fit], hi[fit], targets[fit]
+        count = hi - lo
+        offsets = np.arange(count.max())
+        inside = offsets < count[:, None]
+        # cells past a window's end re-read its first sample and are masked out
+        at = np.where(inside, lo[:, None] + offsets, lo[:, None])
+        x, y = np.log(steps[at]), losses[at]
+        x_bar = np.sum(x, axis=1, where=inside) / count
+        y_bar = np.sum(y, axis=1, where=inside) / count
+        dx = x - x_bar[:, None]
+        sxx = np.sum(dx * dx, axis=1, where=inside)
+        sxy = np.sum(dx * (y - y_bar[:, None]), axis=1, where=inside)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = sxy / sxx
+            root = (targets - (y_bar - slope * x_bar)) / slope
+        # the line's root replaces the seed only inside a falling window
+        ok = (sxx > 0) & (slope < 0) & (root >= x[:, 0]) & (root <= np.log(steps[hi - 1]))
+        crossing[fit[ok]] = np.exp(root[ok])
+    return crossing
 
 
 def extract_contours(
@@ -446,9 +482,23 @@ def extract_contours(
 ) -> list[ContourPoints]:
     """Find where each run of a batch scan crosses each target loss.
 
+    A run crosses a target at its first sample at or past it, seen from
+    the side the run starts on: at or below a target under its first
+    loss, at or above any other. A sample equal to the target is the
+    crossing; otherwise the crossing is interpolated in log step between
+    that sample and the one before. The raw crossing is biased early
+    under noise (any blip past the target wins), so it only seeds a
+    window of the run's samples, ``refine_window`` before it to
+    ``refine_window + 1`` after it, clipped to the run's own samples; the
+    line fit of loss against log step over that window places the
+    crossing instead. A window of fewer than 4 samples, a slope that is
+    not negative, or a root outside the window keeps the interpolated
+    crossing. All (run, target) pairs are solved together.
+
     Args:
         runs: RunRecords at one model size, assumed warm-up trimmed.
-        targets: loss values to trace.
+        targets: loss values to trace, a 1-D sequence of positive finite
+            reals (bools refused).
         split: split to read losses from.
         refine_window: half-width, in samples, of the local line fit
             around each raw crossing; 0 keeps the raw interpolation.
@@ -463,35 +513,49 @@ def extract_contours(
         raise InsufficientDataError("no scan runs given")
     _one_model_size(runs)
     integer_at_least("refine_window", refine_window, 0, ValidationError)
+    targets = np.array(_checked_targets(targets), dtype=float)
     curves = [run.split_arrays(split) for run in runs]
+    sizes = np.array([losses.size for _, _, losses in curves])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    steps = np.concatenate([s for s, _, _ in curves])
+    losses = np.concatenate([l for _, _, l in curves])
+
+    first = np.stack([_first_past(l, targets) for _, _, l in curves])
+    crossed = first >= 0
+    run_of, target_of = np.nonzero(crossed)
+    at_step = np.full(first.shape, np.nan)
+    # a window wider than the longest run fits the same samples
+    w = min(refine_window, int(sizes.max()))
+    rows = max(1, _BLOCK_CELLS // (2 * w + 2))
+    for block in range(0, run_of.size, rows):
+        r, c = run_of[block : block + rows], target_of[block : block + rows]
+        at_step[r, c] = _crossings(
+            steps, losses, starts[r] + first[r, c], starts[r], ends[r], targets[c], w
+        )
+
+    # one loop per target is left: the warnings, in order, and the contours
+    batches = np.array([run.batch_tokens for run in runs])
+    counts = crossed.sum(axis=0)
     contours = []
-    for target in np.asarray(targets, dtype=float):
-        batches, steps_at = [], []
-        for run, (steps, _, losses) in zip(runs, curves):
-            found = _first_crossing(steps, losses, float(target))
-            if found is None:
+    for column, target in enumerate(targets):
+        kept = crossed[:, column]
+        for run, hit in zip(runs, kept):
+            if not hit:
                 warnings.warn(
                     f"run {run.run_id!r} never crosses loss {target:.6g}",
                     ScalingLawWarning,
                     stacklevel=2,
                 )
-                continue
-            seed, crossing = found
-            if refine_window > 0:
-                refined = _refine_crossing(steps, losses, float(target), seed, refine_window)
-                if refined is not None:
-                    crossing = refined
-            batches.append(run.batch_tokens)
-            steps_at.append(crossing)
-        if len(batches) < 2:
+        if counts[column] < 2:
             warnings.warn(
-                f"contour at loss {target:.6g} has {len(batches)} points and was dropped",
+                f"contour at loss {target:.6g} has {counts[column]} points and was dropped",
                 ScalingLawWarning,
                 stacklevel=2,
             )
             continue
-        b = np.array(batches)
-        s = np.array(steps_at)
+        b = batches[kept]
+        s = at_step[kept, column]
         contours.append(ContourPoints(float(target), b, s, b * s))
     return contours
 
@@ -551,10 +615,8 @@ def _gauss_newton(residual_and_jacobian, theta0, max_iter=100, rel_step_tol=1e-1
     return theta
 
 
-def _fit_batch_pairs(losses: np.ndarray, b_crits: np.ndarray, refine: bool) -> PowerLawFit:
-    """Fit b_crit = b_star / loss ** (1 / alpha_b) to (loss, b_crit) pairs."""
-    ln_l = np.log(losses)
-    ln_b = np.log(b_crits)
+def _fit_batch_pairs(ln_l: np.ndarray, ln_b: np.ndarray, refine: bool) -> PowerLawFit:
+    """Fit b_crit = b_star / loss ** (1 / alpha_b) to (ln loss, ln b_crit) pairs."""
     stage = _ols(ln_l, ln_b)
     if stage.slope >= 0:
         raise FitFailureError(
@@ -598,13 +660,13 @@ def fit_critical_batch_law(contours, refine: bool = False) -> PowerLawFit:
     contours = list(contours)
     if len(contours) < 2:
         raise InsufficientDataError("critical-batch fit needs at least two contours")
-    losses = np.array([f.loss_target for f in contours])
-    b_crits = np.array([f.b_crit_hat for f in contours])
-    return _fit_batch_pairs(losses, b_crits, refine)
+    ln_l = np.log([f.loss_target for f in contours])
+    ln_b = np.log([f.b_crit_hat for f in contours])
+    return _fit_batch_pairs(ln_l, ln_b, refine)
 
 
-def _batch_law_rms(losses, b_crits, b_star, alpha_b) -> float:
-    resid = np.log(b_crits) - (math.log(b_star) - np.log(losses) / alpha_b)
+def _batch_law_rms(ln_l, ln_b, b_star, alpha_b) -> float:
+    resid = ln_b - (math.log(b_star) - ln_l / alpha_b)
     return float(np.sqrt(np.mean(resid**2)))
 
 
@@ -655,9 +717,10 @@ def post_correct_batch_law(
             analytic += int(np.sum(keep))
             pooled_l.append(losses[keep])
             pooled_b.append(run.batch_tokens * ratio[keep])
-    losses = np.concatenate(pooled_l)
-    b_crits = np.concatenate(pooled_b)
-    before = _batch_law_rms(losses, b_crits, candidate.b_star, candidate.alpha_b) if losses.size else math.nan
+    # the logs are taken once: the refit and both residuals read them
+    ln_l = np.log(np.concatenate(pooled_l))
+    ln_b = np.log(np.concatenate(pooled_b))
+    before = _batch_law_rms(ln_l, ln_b, candidate.b_star, candidate.alpha_b) if ln_l.size else math.nan
     if analytic == 0:
         warnings.warn(
             "no scan samples usable for post-correction; batch law left unchanged",
@@ -665,11 +728,11 @@ def post_correct_batch_law(
             stacklevel=2,
         )
         return PostCorrection(
-            candidate.b_star, candidate.alpha_b, int(losses.size), before, before
+            candidate.b_star, candidate.alpha_b, int(ln_l.size), before, before
         )
-    refit = _fit_batch_pairs(losses, b_crits, refine)
-    after = _batch_law_rms(losses, b_crits, refit.scale, refit.exponent)
-    return PostCorrection(refit.scale, refit.exponent, int(losses.size), before, after)
+    refit = _fit_batch_pairs(ln_l, ln_b, refine)
+    after = _batch_law_rms(ln_l, ln_b, refit.scale, refit.exponent)
+    return PostCorrection(refit.scale, refit.exponent, int(ln_l.size), before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +804,7 @@ def diagnose_infinite_batch(
     if len(runs) < 2:
         raise InsufficientDataError("batch diagnostic needs at least two runs")
     _one_model_size(runs)
+    _one_setup(runs)
     batches = [r.batch_tokens for r in runs]
     if np.any(np.diff(batches) <= 0):
         raise ValidationError(f"batches must be strictly increasing, got {batches!r}")
@@ -783,6 +847,8 @@ def fit_batch_stage(scan_runs, options: FitOptions | None = None) -> tuple:
         InsufficientDataError: no contour has two or more crossings.
     """
     opts = options or FitOptions()
+    scan_runs = list(scan_runs)
+    _one_setup(scan_runs)
     runs = [trim_warmup(run, opts.trim) for run in scan_runs]
     # the one sort: contour points, and every sum over them, follow batch order
     runs.sort(key=lambda r: r.batch_tokens)
@@ -831,6 +897,7 @@ def fit_full_pipeline(
     opts = options or FitOptions()
     converged = list(converged)
     scan_runs = list(scan_runs)
+    _one_setup([big_batch_run, *scan_runs])
 
     size_fit = fit_converged_law(converged)
     step_fit = fit_step_law(

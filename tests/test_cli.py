@@ -10,6 +10,7 @@ import pytest
 
 from scalinglaws import (
     C4_CONSTANTS,
+    ScalingConstants,
     ScalingLawWarning,
     critical_batch,
     min_steps_for_loss,
@@ -20,6 +21,7 @@ from scalinglaws import (
     write_constants,
 )
 from scalinglaws.cli import _parse_steps, main
+from scalinglaws.laws import CONSTANT_NAMES
 from scalinglaws.planning import MAX_GRID_POINTS
 
 C4 = C4_CONSTANTS
@@ -474,3 +476,66 @@ class TestScanLogOrder:
         for key in ("b_star", "alpha_b"):
             scanned = out.split(f"{key}:")[1].split()[0]
             assert scanned == format(reports["reversed"][key], ".10g")
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param({"dataset_tag": "mixed", "context_length": 1024}, id="dataset-tag"),
+    pytest.param({"dataset_tag": "c4", "context_length": 4096}, id="context-length"),
+])
+def mixed_setup_logs(request, tmp_path_factory):
+    """C4 logs, and one log of each kind from the C4 constants under another setup."""
+    tmp = tmp_path_factory.mktemp("setups")
+    c4, other = tmp / "c4.json", tmp / "other.json"
+    write_constants(C4, c4)
+    write_constants(ScalingConstants(**{k: getattr(C4, k) for k in CONSTANT_NAMES},
+                                     meta=request.param), other)
+    steps = str(int(1.25 * min_steps_for_loss(C4, 1e7, 4.6) * (1 + critical_batch(C4, 4.6) / 1e6)))
+    for name, consts, batches in (("c4", c4, "1e6,3e6"), ("other", other, "1e7,3e7")):
+        assert main(["simulate", "--constants", str(consts), "--kind", "scan", "--n-params", "1e7",
+                     "--batch-tokens", batches, "--num-steps", steps,
+                     "--out-dir", str(tmp / name / "scans")]) == 0
+        assert main(["simulate", "--constants", str(consts), "--kind", "converged",
+                     "--sizes", "1e6,1e7", "--out-dir", str(tmp / name / "conv")]) == 0
+    assert main(["simulate", "--constants", str(c4), "--n-params", "1e7", "--batch-tokens", "1e12",
+                 "--num-steps", "1000", "--log-every", "10", "--out", str(tmp / "big.jsonl")]) == 0
+    return tmp
+
+
+class TestOneSetup:
+    """Runs of two experiment setups are an operation error, never a fit."""
+
+    def expect_refused(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: runs mix setups") and captured.out == ""
+
+    def test_fit_converged_logs(self, mixed_setup_logs, capsys):
+        tmp = mixed_setup_logs
+        argv = ["fit", "--big-batch-log", str(tmp / "big.jsonl"), "--out", "-"]
+        for p in [*sorted(tmp.glob("c4/conv/*.jsonl")), *sorted(tmp.glob("other/conv/*.jsonl"))]:
+            argv += ["--converged-log", str(p)]
+        for p in sorted(tmp.glob("c4/scans/*.jsonl")):
+            argv += ["--scan-log", str(p)]
+        self.expect_refused(argv, capsys)
+
+    def test_fit_scan_logs(self, mixed_setup_logs, capsys):
+        tmp = mixed_setup_logs
+        argv = ["fit", "--big-batch-log", str(tmp / "big.jsonl"), "--out", "-"]
+        for p in sorted(tmp.glob("c4/conv/*.jsonl")):
+            argv += ["--converged-log", str(p)]
+        for p in sorted(tmp.glob("*/scans/*.jsonl")):
+            argv += ["--scan-log", str(p)]
+        self.expect_refused(argv, capsys)
+
+    def test_scan(self, mixed_setup_logs, capsys):
+        argv = ["scan"]
+        for p in sorted(mixed_setup_logs.glob("*/scans/*.jsonl")):
+            argv += ["--scan-log", str(p)]
+        self.expect_refused(argv, capsys)
+
+    def test_diagnose(self, mixed_setup_logs, capsys):
+        argv = ["diagnose"]
+        for p in sorted(mixed_setup_logs.glob("*/scans/*.jsonl")):
+            argv += ["--log", str(p)]
+        self.expect_refused(argv, capsys)

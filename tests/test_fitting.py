@@ -16,6 +16,7 @@ from scalinglaws import (
     InsufficientDataError,
     NoiseSpec,
     RunRecord,
+    ScalingConstants,
     ScalingLawWarning,
     ValidationError,
     WarmupTrim,
@@ -465,3 +466,56 @@ class TestBatchStage:
         _, _, scans = noisy_campaign
         with pytest.warns(ScalingLawWarning), pytest.raises(InsufficientDataError, match="no contour"):
             fit_batch_stage(scans, FitOptions(contour_targets=(1.0,)))
+
+
+def with_meta(**meta):
+    """The C4 constants under another experiment setup."""
+    return ScalingConstants(**{k: getattr(C4, k) for k in CONSTANT_NAMES},
+                            meta={"dataset_tag": "c4", "context_length": 1024, **meta})
+
+
+@pytest.mark.parametrize("meta, shown", [
+    pytest.param(dict(dataset_tag="mixed"),
+                 ("has dataset_tag 'c4'", "run 'sim-n1e+07-b3e+06-r1' has 'mixed'"),
+                 id="dataset-tag"),
+    pytest.param(dict(context_length=4096),
+                 ("has context_length 1024", "run 'sim-n1e+07-b3e+06-r1' has 4096"),
+                 id="context-length"),
+])
+class TestOneSetup:
+    """Every stage that pools runs refuses runs of two experiment setups."""
+
+    @pytest.fixture()
+    def runs(self, meta):
+        big = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=2000, log_every=10)
+        scans = [
+            *gen_batch_scan(C4, n=1e7, batches=[1e5, 1e6], num_steps=[scan_steps(1e5)] * 2),
+            *gen_batch_scan(with_meta(**meta), n=1e7, batches=[3e6, 1e7],
+                            num_steps=[scan_steps(1e5)] * 2),
+        ]
+        return big, scans
+
+    def test_full_pipeline(self, runs, shown):
+        big, scans = runs
+        converged = gen_converged_suite(C4, [1e6, 1e7, 1e8])
+        with pytest.raises(ValidationError, match="runs mix setups") as raised:
+            fit_full_pipeline(converged, big, scans)
+        assert all(part in str(raised.value) for part in shown)
+
+    def test_big_batch_run_against_scans(self, runs, shown):
+        big, scans = runs
+        converged = gen_converged_suite(C4, [1e6, 1e7, 1e8])
+        with pytest.raises(ValidationError, match="runs mix setups"):
+            fit_full_pipeline(converged, big, scans[2:])
+
+    def test_batch_stage(self, runs, shown):
+        _, scans = runs
+        with pytest.raises(ValidationError, match="runs mix setups") as raised:
+            fit_batch_stage(scans)
+        assert all(part in str(raised.value) for part in shown)
+
+    def test_batch_diagnostic(self, runs, shown):
+        _, scans = runs
+        with pytest.raises(ValidationError, match="runs mix setups") as raised:
+            diagnose_infinite_batch(scans)
+        assert all(part in str(raised.value) for part in shown)
