@@ -35,11 +35,11 @@ from .laws import (
     CONSTANT_NAMES,
     EXPONENT_LIMIT,
     ScalingConstants,
+    critical_batch,
     integer_at_least,
     loss_at_convergence,
     positive_real,
 )
-from .planning import MAX_GRID_POINTS
 from .records import SPLITS, ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
 
 # Post-correction pairs need an excess steps/s_min - 1 above this: near
@@ -56,6 +56,19 @@ _DENOISE_WINDOW = 11
 # windows, in blocks of at most this many cells, so neither the target
 # count nor the window width bounds its memory.
 _BLOCK_CELLS = 1 << 17
+# Most contour targets one fit may hold (num_targets, contour_targets). Each
+# kept contour costs one fit_contour call and about 0.5 KB of ContourPoints:
+# on a benchmark campaign (six noisy scan runs, measured on a 2-vCPU host) a
+# fit with 10**4 targets took 0.25 s and peaked at 8.7 MiB under tracemalloc,
+# against 1.8 ms and 1.6 MiB with the default 5; 10**5 took 2.3 s and 87 MiB.
+MAX_CONTOUR_TARGETS = 10**4
+# Stage 2 reads the big-batch run as if its batch B were unbounded. The fit
+# records max B_crit(L) / B over that run's losses and warns above this. On
+# a noiseless C4 campaign (3000-step big run at 1e7 parameters) the ratio
+# against the b_star error it causes was 1.2e-7 at B = 1e12 (-0.1 %), 1.2e-3
+# at 1e8 (-0.6 %), 6.0e-3 at 2e7 (-2.5 %) and 2.3e-2 at 5e6 (-9.5 %), with
+# stage-2 r^2 at 0.99999 or more in every case, so nothing else shows it.
+BIG_BATCH_RATIO_LIMIT = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,8 @@ class FitOptions:
             contours, None to disable; post-correction reads the raw runs.
         contour_targets: explicit contour losses, kept as a tuple; None
             selects num_targets values spanning the scan's common loss range.
-        num_targets: automatic contour count, in [1, MAX_GRID_POINTS].
+        num_targets: automatic contour count, in [1, MAX_CONTOUR_TARGETS];
+            explicit contour_targets hold at most as many.
         target_inset: fraction of the common loss range kept clear at
             both ends when selecting targets automatically, in [0, 0.5).
         refine_batch_law: run the Gauss-Newton refinement of stage 4.
@@ -175,7 +189,13 @@ class FitOptions:
             positive_real("smooth_half_life", self.smooth_half_life, error=ValidationError)
         if self.contour_targets is not None:
             # a tuple, so no caller can change the checked targets
-            object.__setattr__(self, "contour_targets", _checked_targets(self.contour_targets))
+            targets = _checked_targets(self.contour_targets)
+            if len(targets) > MAX_CONTOUR_TARGETS:
+                raise ValidationError(
+                    f"contour_targets holds {len(targets)} targets, more than "
+                    f"MAX_CONTOUR_TARGETS = {MAX_CONTOUR_TARGETS}"
+                )
+            object.__setattr__(self, "contour_targets", targets)
         _check_target_knobs(self.num_targets, self.target_inset, "target_inset")
         for name in ("refine_batch_law", "post_correct"):
             if not isinstance(getattr(self, name), bool):
@@ -187,7 +207,9 @@ class FitReport:
     """Everything fit_full_pipeline learned.
 
     The batch law and its stages are None when the scan stage could not
-    run; the stage-1/2 values are present either way.
+    run; the stage-1/2 values are present either way. big_batch_ratio is
+    max B_crit(L) / B over the big-batch run's trimmed losses under the
+    final constants, None without a batch law.
     """
 
     n_c: float
@@ -202,6 +224,7 @@ class FitReport:
     contours: list[ContourFit] = field(default_factory=list)
     batch_stage: StageFit | None = None
     post_correction: PostCorrection | None = None
+    big_batch_ratio: float | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -292,8 +315,8 @@ def _checked_targets(targets) -> tuple:
 def _check_target_knobs(num_targets, inset, inset_name: str) -> None:
     """The automatic-target rules FitOptions and default_contour_targets share."""
     integer_at_least("num_targets", num_targets, 1, ValidationError)
-    if num_targets > MAX_GRID_POINTS:
-        raise ValidationError(f"num_targets must be at most {MAX_GRID_POINTS}, got {num_targets!r}")
+    if num_targets > MAX_CONTOUR_TARGETS:
+        raise ValidationError(f"num_targets must be at most {MAX_CONTOUR_TARGETS}, got {num_targets!r}")
     positive_real(inset_name, inset, 0.5, ValidationError, zero=True)
 
 
@@ -403,7 +426,7 @@ def default_contour_targets(
 
     Takes the loss range shared by all runs and insets both ends by
     ``inset`` of its width, so targets stay clear of the ragged edges.
-    ``inset`` lies in [0, 0.5) and ``num_targets`` in [1, MAX_GRID_POINTS].
+    ``inset`` lies in [0, 0.5) and ``num_targets`` in [1, MAX_CONTOUR_TARGETS].
     """
     runs = list(runs)
     if not runs:
@@ -937,4 +960,16 @@ def fit_full_pipeline(
         )
         report.post_correction = post
         report.b_star, report.alpha_b = post.b_star, post.alpha_b
+    # stage 2 took the big batch as unbounded: say when the final law disagrees
+    _, _, losses = trim_warmup(big_batch_run, opts.trim).split_arrays(opts.split)
+    ratio = float(np.max(critical_batch(report.constants, losses))) / big_batch_run.batch_tokens
+    report.big_batch_ratio = ratio
+    if ratio > BIG_BATCH_RATIO_LIMIT:
+        message = (
+            f"big-batch run {big_batch_run.run_id!r} reaches a critical batch of {ratio:.3g} "
+            f"times its batch (limit {BIG_BATCH_RATIO_LIMIT:g}); stage 2 takes its batch as "
+            "unbounded, so s_c and the batch law are biased"
+        )
+        warnings.warn(message, ScalingLawWarning, stacklevel=2)
+        report.warnings.append(message)
     return report

@@ -41,6 +41,13 @@ SCHEMA_VERSION = 1
 RUN_FORMATS = ("jsonl", "csv")
 _HEADER_FIELDS = ("run_id", "n_params", "batch_tokens", "context_length", "dataset_tag")
 _ROW_FIELDS = ("step", "tokens", "loss", "split")
+# one template per format for a row written as (step, tokens, loss, split);
+# a jsonl row is what json.dumps makes of the row's dict: counts pass
+# through _decimal, losses are finite floats, split names need no escapes
+_ROW_TEMPLATES = {
+    "jsonl": '{"step": %s, "tokens": %s, "loss": %r, "split": "%s"}\n',
+    "csv": "%s,%s,%r,%s\n",
+}
 # lines parsed in one pass at most, so a long log never holds every row's
 # parsed objects at once
 _BLOCK_LINES = 4096
@@ -127,19 +134,11 @@ def write_run_log(run: RunRecord, target, fmt: str = "jsonl") -> None:
     samples = run.samples
     columns = [samples[name].tolist() for name in _ROW_FIELDS[:3]]
     columns.append([SPLITS[code] for code in samples["split"].tolist()])
+    row = _ROW_TEMPLATES[fmt]
     with _open_out(target) as out:
         out.write(json.dumps(header) + "\n")
         for step, tokens, loss, split in zip(*columns):
-            if fmt == "jsonl":
-                row = {
-                    "step": _decimal(step),
-                    "tokens": _decimal(tokens),
-                    "loss": loss,
-                    "split": split,
-                }
-                out.write(json.dumps(row) + "\n")
-            else:
-                out.write(f"{_decimal(step)},{_decimal(tokens)},{loss!r},{split}\n")
+            out.write(row % (_decimal(step), _decimal(tokens), loss, split))
 
 
 def _parse_row(text: str, line_no: int, fmt: str) -> tuple:
@@ -383,6 +382,8 @@ def document_from_report(report: FitReport) -> ConstantsDocument:
             "residual_rms_before": p.residual_rms_before,
             "residual_rms_after": p.residual_rms_after,
         }
+    if report.big_batch_ratio is not None:
+        diagnostics["big_batch_ratio"] = report.big_batch_ratio
     return ConstantsDocument(
         **_constant_values(report), meta=dict(report.meta), diagnostics=diagnostics
     )

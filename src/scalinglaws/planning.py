@@ -41,7 +41,6 @@ from .errors import (
 from .laws import (
     ScalingConstants,
     critical_batch,
-    integer_at_least,
     loss_at_convergence,
     positive_real,
     solve_loss,
@@ -53,9 +52,14 @@ _FLOPS_FACTOR = 6.0
 # log budgets whose exponential is a normal double
 _LN_BUDGET_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
-# most points a user-sized grid may hold (verify_allocation, predict
-# --steps): each point costs a loss solve and several float arrays
+# most points a user-sized grid may hold (predict --steps): each point
+# costs a loss solve and several float arrays
 MAX_GRID_POINTS = 10**6
+
+# verify_allocation's grid: 64 cells a decade over the two decades of
+# model size centred on the plan, ln 10 to each side
+_GRID_POINTS = 129
+_GRID_HALF_SPAN = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -178,42 +182,22 @@ def optimal_allocation(c: ScalingConstants, budget) -> AllocationPlan:
     )
 
 
-def verify_allocation(
-    c: ScalingConstants,
-    budget,
-    cells_per_decade: int = 64,
-    span_decades: float = 2.0,
-) -> AllocationCheck:
+def verify_allocation(c: ScalingConstants, budget) -> AllocationCheck:
     """Check the closed-form allocation against a brute-force scan.
 
-    Evaluates the finite-batch loss over a log-spaced grid of model
-    sizes centered on the plan, holding the budget and the plan's batch
-    fixed and giving each size the steps the budget still buys. The
-    closed form should land within one grid cell of the scanned
-    minimum.
-
-    Args:
-        cells_per_decade: grid resolution, an int >= 0; with span_decades
-            it sets the point count, 1 to MAX_GRID_POINTS.
-        span_decades: total width of the scanned size range, in decades,
-            a finite real >= 0. A knob outside these is a DomainError.
+    Evaluates the finite-batch loss over a log-spaced grid of 129 model
+    sizes, 64 cells a decade over the two decades centred on the plan,
+    holding the budget and the plan's batch fixed and giving each size
+    the steps the budget still buys. The closed form should land within
+    one grid cell of the scanned minimum.
     """
-    integer_at_least("cells_per_decade", cells_per_decade, 0)
-    positive_real("span_decades", span_decades, zero=True)
-    try:
-        count = int(round(cells_per_decade * span_decades)) + 1
-    except OverflowError:  # a product beyond any float
-        count = math.inf
-    if count > MAX_GRID_POINTS:
-        raise DomainError(f"the grid would exceed MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     plan = optimal_allocation(c, budget)
-    half = 0.5 * span_decades * math.log(10.0)
-    ln_n = math.log(plan.n_opt) + np.linspace(-half, half, count)
+    ln_n = math.log(plan.n_opt) + np.linspace(-_GRID_HALF_SPAN, _GRID_HALF_SPAN, _GRID_POINTS)
     n_grid = np.exp(ln_n)
     s_grid = budget / (_FLOPS_FACTOR * n_grid * plan.b_opt)
-    losses = np.atleast_1d(solve_loss(c, n_grid, s_grid, plan.b_opt))
+    losses = solve_loss(c, n_grid, s_grid, plan.b_opt)
     best = int(np.argmin(losses))
-    cell = (ln_n[1] - ln_n[0]) if count > 1 else math.inf
+    cell = ln_n[1] - ln_n[0]
     within = abs(math.log(n_grid[best]) - math.log(plan.n_opt)) <= cell * (1 + 1e-9)
     return AllocationCheck(
         plan=plan,

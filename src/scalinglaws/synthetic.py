@@ -15,8 +15,6 @@ from .errors import ValidationError
 from .laws import ScalingConstants, integer_at_least, loss_at_convergence, positive_real, solve_loss
 from .records import SPLITS, ConvergedRun, RunRecord, _ColumnSet
 
-NOISE_KINDS = ("none", "multiplicative-lognormal")
-
 _DEFAULT_CONTEXT = 1024
 
 
@@ -26,22 +24,19 @@ class NoiseSpec:
 
     Multiplicative log-normal noise multiplies each loss by
     exp(sigma * z) with z standard normal, so it is unbiased in log
-    space. ``kind="none"`` or ``sigma=0`` disables it.
+    space. ``sigma=0`` disables it.
     """
 
     sigma: float = 0.0
     seed: int = 0
-    kind: str = "multiplicative-lognormal"
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValidationError(f"unknown noise kind {self.kind!r}")
         positive_real("sigma", self.sigma, error=ValidationError, zero=True)
         integer_at_least("seed", self.seed, 0, ValidationError)
 
     def factors(self, count: int, stream: int = 0) -> np.ndarray:
         """Noise factors for one run, drawn from an independent sub-stream."""
-        if self.kind == "none" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.ones(count)
         rng = np.random.default_rng([self.seed, stream])
         return np.exp(self.sigma * rng.standard_normal(count))
@@ -193,20 +188,18 @@ def gen_converged_log(
     batch_tokens=1e12,
     samples: int = 120,
     noise: NoiseSpec = NoiseSpec(),
-    run_id: str | None = None,
     stream: int = 0,
 ) -> RunRecord:
     """The logged tail of a run already trained to convergence.
 
     Every sample sits at the converged loss for ``n`` (plus noise); the
     steps just index the tail. This is the file-shaped counterpart of a
-    ConvergedRun, for pipelines that ingest everything as run logs.
+    ConvergedRun, for pipelines that ingest everything as run logs. Its
+    run id is ``sim-converged-n{n:g}-r{stream}``.
     """
     integer_at_least("samples", samples, 1, ValidationError)
     # the tail's steps only index it: 10000, 10100, ...
     steps = 10_000.0 + 100.0 * np.arange(samples, dtype=float)
     level = loss_at_convergence(c, n)
     observed = level * noise.factors(samples, stream)
-    if run_id is None:
-        run_id = f"sim-converged-n{float(n):g}-r{stream}"
-    return _to_record(run_id, c, n, batch_tokens, steps, observed)
+    return _to_record(f"sim-converged-n{float(n):g}-r{stream}", c, n, batch_tokens, steps, observed)

@@ -22,6 +22,7 @@ from scalinglaws import (
     WarmupTrim,
     critical_batch,
     default_contour_targets,
+    document_from_report,
     diagnose_infinite_batch,
     diagnose_infinite_data,
     extract_contours,
@@ -42,7 +43,7 @@ from scalinglaws import (
     solve_loss,
     trim_warmup,
 )
-from scalinglaws.fitting import ContourFit
+from scalinglaws.fitting import BIG_BATCH_RATIO_LIMIT, ContourFit
 from scalinglaws.laws import CONSTANT_NAMES
 from scalinglaws.records import SPLIT_CODES
 
@@ -103,7 +104,7 @@ class TestExtractConvergedRun:
 
     def test_averages_noise_down(self):
         from scalinglaws import NoiseSpec
-        noise = NoiseSpec(sigma=0.01, seed=7, kind="multiplicative-lognormal")
+        noise = NoiseSpec(sigma=0.01, seed=7)
         run = gen_converged_log(C4, n=1e7, samples=240, noise=noise)
         out = extract_converged_run(run, tail_fraction=0.25)
         true = loss_at_convergence(C4, 1e7)
@@ -413,6 +414,49 @@ class TestFullPipeline:
         report = fit_full_pipeline(converged, big, scans, opts)
         assert [f.loss_target for f in report.contours] == [4.4, 4.6]
         assert report.post_correction is None
+
+
+@pytest.fixture(scope="module")
+def noiseless_suite_and_scan():
+    """A noiseless C4 converged suite and six-run scan, logged every 5 steps."""
+    converged = gen_converged_suite(C4, np.geomspace(1e6, 6e7, 7))
+    batches = np.geomspace(1e4, 2.15e7, 6)
+    scans = gen_batch_scan(
+        C4, n=1e7, batches=list(batches), num_steps=[scan_steps(b) for b in batches], log_every=5,
+    )
+    return converged, scans
+
+
+class TestBigBatchRatio:
+    """Stage 2 takes the big-batch run's batch as unbounded; the fit says how far it is."""
+
+    def test_unbounded_enough_batch_is_quiet(self, noiseless_suite_and_scan):
+        converged, scans = noiseless_suite_and_scan
+        big = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=3000, run_id="big")
+        report = fit_full_pipeline(converged, big, scans)
+        assert report.warnings == []
+        assert 0 < report.big_batch_ratio < 1e-6
+        doc = document_from_report(report)
+        assert doc.diagnostics["big_batch_ratio"] == report.big_batch_ratio
+
+    def test_small_big_batch_warns(self, noiseless_suite_and_scan):
+        converged, scans = noiseless_suite_and_scan
+        big = gen_trajectory(C4, n=1e7, batch_tokens=5e6, num_steps=3000, run_id="big")
+        with pytest.warns(ScalingLawWarning, match="big-batch run 'big'") as caught:
+            report = fit_full_pipeline(converged, big, scans)
+        assert report.big_batch_ratio > BIG_BATCH_RATIO_LIMIT
+        # the final constants set the ratio: the largest critical batch over the trimmed run
+        losses = trim_warmup(big, WarmupTrim()).split_arrays("test")[2]
+        assert report.big_batch_ratio == np.max(critical_batch(report.constants, losses)) / 5e6
+        assert report.warnings == [str(w.message) for w in caught]
+
+    def test_partial_fit_has_no_ratio(self):
+        converged = gen_converged_suite(C4, [1e6, 1e7, 1e8])
+        big = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=2000, log_every=10)
+        with pytest.warns(ScalingLawWarning, match="no scan runs"):
+            report = fit_full_pipeline(converged, big)
+        assert report.big_batch_ratio is None
+        assert "big_batch_ratio" not in document_from_report(report).diagnostics
 
 
 @pytest.fixture(scope="module")

@@ -113,6 +113,25 @@ class TestRunLogRoundTrip:
         assert '"step": 50,' in text
         assert '"tokens": 5000000,' in text
 
+    def test_jsonl_row_is_json_dumps_of_its_dict(self):
+        # integral counts, counts at and past 2**63 (kept as floats), fractional values
+        batch = 1e6
+        rows = [(1.0, 3.0), (2.5, 2.684193150679535), (1e13, 0.1), (2.0**63, 1e-300), (2.0**64, 7.0)]
+        run = RunRecord("r", 1e7, batch, 1024, "c4",
+                        [(step, step * batch, loss, split) for step, loss in rows for split in ("train", "test")])
+        out = io.StringIO()
+        write_run_log(run, out)
+        body = out.getvalue().splitlines(keepends=True)[1:]
+        expected = [
+            json.dumps({"step": sio._decimal(step), "tokens": sio._decimal(tokens),
+                        "loss": loss, "split": ("train", "test")[code]}) + "\n"
+            for step, tokens, loss, code in run.samples.tolist()
+        ]
+        assert body == expected
+        assert '"step": 1, "tokens": 1000000,' in body[0]
+        assert '"tokens": 1e+19,' in body[4]
+        assert '"step": 9.223372036854776e+18,' in body[6]
+
     def test_no_temp_file_left_behind(self, tmp_path):
         write_run_log(awkward_run(), tmp_path / "run.jsonl")
         assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]

@@ -26,7 +26,7 @@ from scalinglaws import (
     gen_converged_log,
     gen_trajectory,
 )
-from scalinglaws.planning import MAX_GRID_POINTS
+from scalinglaws.fitting import MAX_CONTOUR_TARGETS
 
 C4 = C4_CONSTANTS
 
@@ -36,7 +36,7 @@ class TestFitOptions:
         pytest.param(dict(num_targets=2.5), id="fractional-num-targets"),
         pytest.param(dict(num_targets=True), id="bool-num-targets"),
         pytest.param(dict(num_targets=0), id="zero-num-targets"),
-        pytest.param(dict(num_targets=MAX_GRID_POINTS + 1), id="num-targets-above-cap"),
+        pytest.param(dict(num_targets=MAX_CONTOUR_TARGETS + 1), id="num-targets-above-cap"),
         pytest.param(dict(trim=None), id="no-trim"),
         pytest.param(dict(split="bogus"), id="unknown-split"),
         pytest.param(dict(target_inset=0.6), id="inset-above-half"),
@@ -138,11 +138,21 @@ class TestFittingKnobs:
         pytest.param(dict(inset=0.7), id="inset-above-half"),
         pytest.param(dict(inset=-2.0), id="negative-inset"),
         pytest.param(dict(inset=True), id="bool-inset"),
-        pytest.param(dict(num_targets=MAX_GRID_POINTS + 1), id="num-targets-above-cap"),
+        pytest.param(dict(num_targets=MAX_CONTOUR_TARGETS + 1), id="num-targets-above-cap"),
     ])
     def test_contour_targets_reject(self, scan, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             default_contour_targets(scan, **kwargs)
+
+    def test_contour_target_cap(self, scan):
+        # the cap bounds what one fit holds; extract_contours itself takes any count
+        assert FitOptions(num_targets=MAX_CONTOUR_TARGETS).num_targets == MAX_CONTOUR_TARGETS
+        assert default_contour_targets(scan, MAX_CONTOUR_TARGETS).size == MAX_CONTOUR_TARGETS
+        targets = np.linspace(20.0, 30.0, MAX_CONTOUR_TARGETS + 1)
+        assert len(FitOptions(contour_targets=targets[1:]).contour_targets) == MAX_CONTOUR_TARGETS
+        with pytest.raises(ValidationError, match="MAX_CONTOUR_TARGETS"):
+            FitOptions(contour_targets=targets)
+        assert len(extract_contours(scan, targets)) == MAX_CONTOUR_TARGETS + 1
 
     @pytest.mark.parametrize("window", [2.5, True, -1])
     def test_refine_window_rejected(self, scan, window):

@@ -31,7 +31,6 @@ from scalinglaws import (
     solve_loss,
     verify_allocation,
 )
-from scalinglaws.planning import MAX_GRID_POINTS
 
 C4 = C4_CONSTANTS
 MIXED = MIXED_CONSTANTS
@@ -115,39 +114,6 @@ class TestVerifyAllocation:
         check = verify_allocation(C4, 1e19)
         best = int(np.argmin(check.losses))
         assert 0 < best < check.losses.size - 1
-
-    def test_degenerate_single_point_grid(self):
-        check = verify_allocation(C4, 1e21, cells_per_decade=0, span_decades=0.0)
-        assert check.n_grid.size == 1
-        assert check.within_one_cell
-
-    def test_numpy_int_resolution_accepted(self):
-        check = verify_allocation(C4, 1e21, cells_per_decade=np.int64(8), span_decades=np.float32(2.0))
-        assert check.n_grid.size == 17
-
-    @pytest.mark.parametrize("knobs", [
-        pytest.param(dict(cells_per_decade=-1), id="negative-cells"),
-        pytest.param(dict(cells_per_decade=True), id="bool-cells"),
-        pytest.param(dict(cells_per_decade=2.5), id="fractional-cells"),
-        pytest.param(dict(span_decades=-1.0), id="negative-span"),
-        pytest.param(dict(span_decades=math.nan), id="nan-span"),
-        pytest.param(dict(span_decades=math.inf), id="inf-span"),
-        pytest.param(dict(span_decades=True), id="bool-span"),
-        pytest.param(dict(span_decades=10**400), id="int-beyond-float-span"),
-    ])
-    def test_rejects_bad_grid_knobs(self, knobs):
-        with pytest.raises(DomainError):
-            verify_allocation(C4, 1e21, **knobs)
-
-    def test_grid_at_the_point_cap(self):
-        check = verify_allocation(C4, 1e21, cells_per_decade=MAX_GRID_POINTS - 1, span_decades=1.0)
-        assert check.n_grid.size == MAX_GRID_POINTS
-
-    @pytest.mark.parametrize("cells", [MAX_GRID_POINTS, 10**400])
-    def test_grid_past_the_point_cap_rejected(self, cells):
-        # refused before any grid is allocated
-        with pytest.raises(DomainError, match="MAX_GRID_POINTS"):
-            verify_allocation(C4, 1e21, cells_per_decade=cells, span_decades=1.0)
 
 
 class TestMinCostHelpers:

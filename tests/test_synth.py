@@ -30,20 +30,20 @@ class TestNoiseSpec:
         np.testing.assert_array_equal(spec.factors(5), np.ones(5))
 
     def test_deterministic_per_seed_and_stream(self):
-        spec = NoiseSpec(sigma=0.05, seed=42, kind="multiplicative-lognormal")
+        spec = NoiseSpec(sigma=0.05, seed=42)
         np.testing.assert_array_equal(spec.factors(10, stream=3), spec.factors(10, stream=3))
         assert not np.array_equal(spec.factors(10, stream=3), spec.factors(10, stream=4))
-        other = NoiseSpec(sigma=0.05, seed=43, kind="multiplicative-lognormal")
+        other = NoiseSpec(sigma=0.05, seed=43)
         assert not np.array_equal(spec.factors(10, stream=3), other.factors(10, stream=3))
 
     def test_lognormal_scale(self):
-        spec = NoiseSpec(sigma=0.01, seed=0, kind="multiplicative-lognormal")
+        spec = NoiseSpec(sigma=0.01, seed=0)
         f = spec.factors(200_000)
         assert np.std(np.log(f)) == pytest.approx(0.01, rel=0.02)
         assert np.mean(np.log(f)) == pytest.approx(0.0, abs=1e-4)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(sigma=-0.1), dict(kind="additive-gaussian"), dict(sigma=float("nan")),
+        dict(sigma=-0.1), dict(sigma=float("inf")), dict(sigma=float("nan")),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
@@ -109,7 +109,7 @@ class TestTrajectory:
         np.testing.assert_allclose(warm_losses[3:], clean_losses[3:], rtol=1e-12)
 
     def test_noise_is_multiplicative(self):
-        noise = NoiseSpec(sigma=0.02, seed=9, kind="multiplicative-lognormal")
+        noise = NoiseSpec(sigma=0.02, seed=9)
         noisy = gen_trajectory(
             C4, n=1e7, batch_tokens=1e5, num_steps=200, log_every=20, noise=noise, stream=5
         )
@@ -143,7 +143,7 @@ class TestBatchScan:
             )
 
     def test_noise_streams_differ_across_batches(self):
-        noise = NoiseSpec(sigma=0.05, seed=1, kind="multiplicative-lognormal")
+        noise = NoiseSpec(sigma=0.05, seed=1)
         runs = gen_batch_scan(
             C4, n=1e7, batches=[1e5, 1e5 * (1 + 1e-9)], num_steps=100, log_every=10,
             noise=noise,
@@ -171,7 +171,7 @@ class TestConverged:
             assert r.final_loss == pytest.approx(loss_at_convergence(C4, r.n_params), rel=1e-12)
 
     def test_suite_noise_perturbs(self):
-        noise = NoiseSpec(sigma=0.01, seed=2, kind="multiplicative-lognormal")
+        noise = NoiseSpec(sigma=0.01, seed=2)
         runs = gen_converged_suite(C4, [1e6, 1e7], noise=noise)
         for r in runs:
             clean = loss_at_convergence(C4, r.n_params)
@@ -187,7 +187,7 @@ class TestConverged:
         assert run.run_id == "sim-converged-n1e+07-r0"
 
     def test_plateau_log_noise_averages_out(self):
-        noise = NoiseSpec(sigma=0.01, seed=3, kind="multiplicative-lognormal")
+        noise = NoiseSpec(sigma=0.01, seed=3)
         run = gen_converged_log(C4, n=1e7, samples=400, noise=noise)
         _, _, losses = run.split_arrays("test")
         target = loss_at_convergence(C4, 1e7)
