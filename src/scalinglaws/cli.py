@@ -92,8 +92,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_steps(text: str) -> list[float]:
-    """Either an explicit comma list or start:stop:count, log-spaced."""
+def _parse_steps(text: str) -> list[float] | np.ndarray:
+    """Either an explicit comma list or start:stop:count, log-spaced (an array)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -104,7 +104,7 @@ def _parse_steps(text: str) -> list[float]:
             raise ValidationError(f"bad --steps range {text!r}") from None
         if not (0 < start < stop < math.inf and 2 <= count <= MAX_GRID_POINTS):
             raise ValidationError(f"--steps range needs 0 < start < stop < inf, 2 <= count <= {MAX_GRID_POINTS}")
-        return list(np.geomspace(start, stop, count))
+        return np.geomspace(start, stop, count)
     return _parse_float_list(text, "--steps")
 
 

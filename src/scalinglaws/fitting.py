@@ -251,6 +251,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> StageFit:
     if x.size < 2:
         raise InsufficientDataError(f"need at least 2 points, got {x.size}")
     x_bar, y_bar = x.mean(), y.mean()
+    # two work arrays: the centered x, then the residual; the centered y, then its square
     xm = x - x_bar
     ym = y - y_bar
     sxx = float(xm @ xm)
@@ -258,9 +259,12 @@ def _ols(x: np.ndarray, y: np.ndarray) -> StageFit:
         raise InsufficientDataError("regressor values are all identical")
     slope = float(xm @ ym) / sxx
     intercept = float(y_bar - slope * x_bar)
-    resid = y - (intercept + slope * x)
+    ym *= ym
+    ss_tot = float(np.sum(ym))
+    resid = np.multiply(x, slope, out=xm)
+    resid += intercept
+    np.subtract(y, resid, out=resid)
     ss_res = float(resid @ resid)
-    ss_tot = float(np.sum(ym**2))
     if ss_tot > 0.0:
         r_squared = 1.0 - ss_res / ss_tot
     else:
@@ -689,8 +693,12 @@ def fit_critical_batch_law(contours, refine: bool = False) -> PowerLawFit:
 
 
 def _batch_law_rms(ln_l, ln_b, b_star, alpha_b) -> float:
-    resid = ln_b - (math.log(b_star) - ln_l / alpha_b)
-    return float(np.sqrt(np.mean(resid**2)))
+    # one work array: ln_b - (ln b_star - ln_l / alpha_b), then its square
+    resid = np.divide(ln_l, alpha_b)
+    np.subtract(math.log(b_star), resid, out=resid)
+    np.subtract(ln_b, resid, out=resid)
+    resid *= resid
+    return float(np.sqrt(np.mean(resid)))
 
 
 def post_correct_batch_law(
@@ -730,19 +738,29 @@ def post_correct_batch_law(
             losses = np.convolve(losses, kernel, mode="valid")
             half = _DENOISE_WINDOW // 2
             steps = steps[half : half + losses.size]
-        floor = loss_at_convergence(candidate, run.n_params)
-        excess = losses - floor
+        # each run's ratio steps / s_min(loss) - 1 is built in one buffer,
+        # from the excess loss - floor; a non-positive excess has no s_min
+        ratio = losses - loss_at_convergence(candidate, run.n_params)
+        np.copyto(ratio, np.nan, where=ratio <= 0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            s_min = candidate.s_c * np.where(excess > 0, excess, np.nan) ** (-1.0 / candidate.alpha_s)
-            ratio = steps / s_min - 1.0
-        keep = np.isfinite(ratio) & (ratio > _MIN_EXCESS)
-        if np.any(keep):
-            analytic += int(np.sum(keep))
+            ratio **= -1.0 / candidate.alpha_s
+            ratio *= candidate.s_c
+            np.divide(steps, ratio, out=ratio)
+            ratio -= 1.0
+        keep = ratio > _MIN_EXCESS
+        keep &= ratio < math.inf
+        if keep.any():
+            analytic += int(np.count_nonzero(keep))
             pooled_l.append(losses[keep])
-            pooled_b.append(run.batch_tokens * ratio[keep])
-    # the logs are taken once: the refit and both residuals read them
-    ln_l = np.log(np.concatenate(pooled_l))
-    ln_b = np.log(np.concatenate(pooled_b))
+            b_crit = ratio[keep]
+            b_crit *= run.batch_tokens
+            pooled_b.append(b_crit)
+    # the logs are taken once, in place: the refit and both residuals read them
+    ln_l = np.concatenate(pooled_l)
+    ln_b = np.concatenate(pooled_b)
+    del pooled_l, pooled_b
+    np.log(ln_l, out=ln_l)
+    np.log(ln_b, out=ln_b)
     before = _batch_law_rms(ln_l, ln_b, candidate.b_star, candidate.alpha_b) if ln_l.size else math.nan
     if analytic == 0:
         warnings.warn(

@@ -15,6 +15,17 @@ equation for the loss reached by a run at finite batch size, solved
 here by Newton's method. Scale constants are huge (n_c ~ 1e14 parameters,
 b_star ~ 1e8 tokens), so every power is evaluated in log space.
 
+The Newton pass. The loss-free parts of the equation (the size term, and
+the step and batch parts of the exponents) are computed once, each at its
+own input's shape. Each pass then evaluates the residual into four work
+arrays that are allocated once per call at the broadcast shape, and writes
+the next iterate over the loss array where a point is still open. The
+slope is computed only while some point is still open, so the last pass
+computes the residual alone. A 0-d problem runs the same steps on numpy
+scalars, which are cheaper there than 0-d arrays. Each step rounds as the
+formula written with fresh arrays does (a sign moved onto a divisor or a
+factor is exact), so the results are the same bits.
+
 All functions broadcast over numpy arrays and return scalars for
 scalar input.
 """
@@ -113,26 +124,39 @@ MIXED_CONSTANTS = ScalingConstants(
 )
 
 
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, if every entry is an integer or a float.
+
+    Bools, strings, bytes, complex numbers and other objects raise
+    DomainError naming the value; none is converted. That includes a bool
+    inside a list, which numpy would promote to a number.
+    """
+    try:
+        raw = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raw = np.asarray(None)
+    if raw.dtype.kind not in "iuf" or (
+        isinstance(value, (list, tuple))
+        and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat))
+    ):
+        raise DomainError(
+            f"{name} must hold floats or float-range integers, never bools, strings "
+            f"or complex numbers, got {value!r}"
+        )
+    return raw.astype(float, copy=False)
+
+
 def _validated(name, value):
-    """Coerce to a float array and require positive finite real entries."""
-    raw = np.asarray(value)
-    arr = raw.astype(float, copy=False)
-    if raw.dtype == bool or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
-        raise DomainError(f"{name} must be positive and finite, never a bool, got {value!r}")
+    """real_array, with every entry positive and finite."""
+    arr = real_array(name, value)
+    # min and max propagate NaN, so the comparisons refuse it too
+    if arr.size == 0 or not (arr.min() > 0 and arr.max() < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return arr
 
 
 def _scalarize(arr):
     return float(arr) if np.ndim(arr) == 0 else arr
-
-
-def _log1p_exp(w):
-    """log(1 + exp(w)) without overflow for large w."""
-    return np.maximum(w, 0.0) + np.log1p(np.exp(-np.abs(w)))
-
-
-def _sigmoid(w):
-    return 1.0 / (1.0 + np.exp(-np.clip(w, -700.0, 700.0)))
 
 
 def loss_at_convergence(c: ScalingConstants, n) -> float | np.ndarray:
@@ -214,29 +238,74 @@ def tradeoff_token_ratio(step_ratio) -> float | np.ndarray:
 
 
 def _equation_terms(c: ScalingConstants, n, steps, batch_tokens):
-    """Validated, broadcast loss-independent parts of the loss equation."""
-    n, steps, batch_tokens = np.broadcast_arrays(
-        _validated("n", n), _validated("steps", steps), _validated("batch_tokens", batch_tokens)
-    )
-    size_term = np.exp(c.alpha_n * (math.log(c.n_c) - np.log(n)))
-    step_base = c.alpha_s * (math.log(c.s_c) - np.log(steps))
-    w_base = math.log(c.b_star) - np.log(batch_tokens)
+    """Validated loss-independent parts of the loss equation, each at its input's shape."""
+    size_term = np.exp(c.alpha_n * (math.log(c.n_c) - np.log(_validated("n", n))))
+    step_base = c.alpha_s * (math.log(c.s_c) - np.log(_validated("steps", steps)))
+    w_base = math.log(c.b_star) - np.log(_validated("batch_tokens", batch_tokens))
     return size_term, step_base, w_base
 
 
-def _loss_equation(c: ScalingConstants, loss, size_term, step_base, w_base):
-    """Residual of the finite-batch loss equation at ``loss``, and its slope.
+def _work_buffers(*operands):
+    """Work buffers for Newton passes at the broadcast shape of ``operands``.
 
-    The one place the equation is written. With w = ln(B_crit(loss) / B),
-    the step term (s_c / S_min) ** alpha_s is exp(step_base + alpha_s *
-    ln(1 + e**w)), and the slope is
-    -1 - step_term * (alpha_s / alpha_b) * sigmoid(w) / loss.
+    Four float arrays and a bool mask, written over by every pass. A 0-d
+    problem gets None for each: its passes run on numpy scalars, whose
+    arithmetic costs a fraction of a 0-d array's. The in-place operators
+    of _residual and _slope then make new scalars instead.
     """
-    w = w_base - np.log(loss) / c.alpha_b
-    step_term = np.exp(step_base + c.alpha_s * _log1p_exp(w))
-    residual = size_term + step_term - loss
-    slope = -step_term * (c.alpha_s / c.alpha_b) * _sigmoid(w) / loss - 1.0
-    return residual, slope
+    shape = np.broadcast(*operands).shape
+    if not shape:
+        return [None] * 5
+    return [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=bool)]
+
+
+def _residual(c: ScalingConstants, loss, terms, work):
+    """Residual of the finite-batch loss equation at ``loss``, with w and the step term.
+
+    The one place the equation is written, with _slope. With
+    w = ln(B_crit(loss) / B), the step term (s_c / S_min) ** alpha_s is
+    exp(step_base + alpha_s * ln(1 + e**w)). Each step writes over the
+    arrays of ``work`` (see _work_buffers); returns (w, step_term, residual).
+    """
+    size_term, step_base, w_base = terms
+    w_out, t_out, step_out, res_out, _ = work
+    # w_base - ln(loss) / alpha_b, the sign moved onto the divisor
+    w = np.log(loss, out=w_out)
+    w /= -c.alpha_b
+    w += w_base
+    # ln(1 + e**w) without overflow: max(w, 0) + log1p(e**-|w|)
+    t = np.abs(w, out=t_out)
+    t *= -1.0
+    t = np.exp(t, out=t_out)
+    t = np.log1p(t, out=t_out)
+    step_term = np.maximum(w, 0.0, out=step_out)
+    step_term += t
+    step_term *= c.alpha_s
+    step_term += step_base
+    step_term = np.exp(step_term, out=step_out)
+    residual = np.add(size_term, step_term, out=res_out)
+    residual -= loss
+    return w, step_term, residual
+
+
+def _slope(c: ScalingConstants, loss, w, step_term, work):
+    """Turn _residual's w and step term into the slope at ``loss``, over the step term.
+
+    The slope is -1 - step_term * (alpha_s / alpha_b) * sigmoid(w) / loss.
+    """
+    w_out = work[0]
+    # sigmoid(w) = 1 / (1 + e**-w), w clipped to +-700 so e**-w stays finite
+    w = np.maximum(w, -700.0, out=w_out)
+    w = np.minimum(w, 700.0, out=w_out)
+    w *= -1.0
+    w = np.exp(w, out=w_out)
+    w += 1.0
+    w = np.reciprocal(w, out=w_out)
+    step_term *= -(c.alpha_s / c.alpha_b)
+    step_term *= w
+    step_term /= loss
+    step_term -= 1.0
+    return step_term
 
 
 def implicit_residual(c: ScalingConstants, loss, n, steps, batch_tokens) -> float | np.ndarray:
@@ -248,7 +317,8 @@ def implicit_residual(c: ScalingConstants, loss, n, steps, batch_tokens) -> floa
     Newton's method from below the root safe.
     """
     loss = _validated("loss", loss)
-    residual, _ = _loss_equation(c, loss, *_equation_terms(c, n, steps, batch_tokens))
+    terms = _equation_terms(c, n, steps, batch_tokens)
+    _, _, residual = _residual(c, loss, terms, _work_buffers(loss, *terms))
     return _scalarize(residual)
 
 
@@ -259,8 +329,10 @@ def implicit_residual_derivative(c: ScalingConstants, loss, n, steps, batch_toke
     target directly and shrinks the batch penalty.
     """
     loss = _validated("loss", loss)
-    _, slope = _loss_equation(c, loss, *_equation_terms(c, n, steps, batch_tokens))
-    return _scalarize(slope)
+    terms = _equation_terms(c, n, steps, batch_tokens)
+    work = _work_buffers(loss, *terms)
+    w, step_term, _ = _residual(c, loss, terms, work)
+    return _scalarize(_slope(c, loss, w, step_term, work))
 
 
 def solve_loss(c: ScalingConstants, n, steps, batch_tokens, tol: float = 1e-10) -> float | np.ndarray:
@@ -299,16 +371,24 @@ def solve_loss(c: ScalingConstants, n, steps, batch_tokens, tol: float = 1e-10) 
     """
     if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol <= 1e-3):
         raise DomainError(f"tol must be a real number in (0, 1e-3], got {tol!r}")
-    size_term, step_base, w_base = _equation_terms(c, n, steps, batch_tokens)
+    terms = _equation_terms(c, n, steps, batch_tokens)
+    size_term, step_base, _ = terms
+    work = _work_buffers(*terms)
+    _, t_out, _, _, mask = work
+    loss_out = None if mask is None else np.empty(mask.shape)
 
     # the residual is convex: each factor of the slope's step part (the step
     # term, sigmoid(w), 1 / loss) is positive and decreasing in the loss, so
     # a tangent lies below the curve and no step from left of the root passes it
-    loss = size_term + np.exp(step_base)
+    loss = np.exp(step_base, out=loss_out)
+    loss += size_term
     for _ in range(_MAX_NEWTON_STEPS):
-        residual, slope = _loss_equation(c, loss, size_term, step_base, w_base)
-        open_ = ~(np.abs(residual) <= tol)  # a NaN residual stays open
+        w, step_term, residual = _residual(c, loss, terms, work)
+        open_ = np.less_equal(np.abs(residual, out=t_out), tol, out=mask)
+        open_ = np.logical_not(open_, out=mask)  # a NaN residual stays open
         if not open_.any():
             return _scalarize(loss)
-        loss = np.where(open_, loss - residual / slope, loss)
+        # the slope only while some point is open
+        residual /= _slope(c, loss, w, step_term, work)
+        loss = np.subtract(loss, residual, out=loss_out, where=open_)
     raise SolverError(f"residual stayed above {tol!r} after {_MAX_NEWTON_STEPS} Newton steps")

@@ -43,6 +43,7 @@ from .laws import (
     critical_batch,
     loss_at_convergence,
     positive_real,
+    real_array,
     solve_loss,
 )
 
@@ -271,7 +272,7 @@ def predict_trajectory(c: ScalingConstants, n, batch_tokens, steps) -> Trajector
     Returns:
         TrajectoryPrediction with strictly decreasing losses.
     """
-    steps = np.atleast_1d(np.asarray(steps, dtype=float))
+    steps = np.atleast_1d(real_array("steps", steps))
     if steps.size == 0:
         raise DomainError("steps grid is empty")
     if np.any(np.diff(steps) <= 0):

@@ -177,13 +177,20 @@ def _checked(run: RunRecord, groups: list[_ColumnSet], row_name: Callable[[int],
             return f"duplicate {where} (also {row_name(g.rows[p - 1])})"
         return f"decreasing {where} after {before!r} ({row_name(g.rows[p - 1])})"
 
+    def tokens_off(g):
+        # |tokens - steps * batch| > TOKEN_RTOL * steps * batch, the product taken once
+        expected = g.steps * run.batch_tokens
+        gap = g.tokens - expected
+        np.abs(gap, out=gap)
+        expected *= TOKEN_RTOL
+        return ~(gap <= expected)
+
     rules = [
         (lambda g: ~(np.isfinite(g.steps) & (g.steps > 0)),
          lambda g, p: f"step must be positive, got {float(g.steps[p])!r}"),
         (lambda g: ~(np.isfinite(g.losses) & (g.losses > 0)),
          lambda g, p: f"loss must be positive, got {float(g.losses[p])!r}"),
-        (lambda g: ~(np.abs(g.tokens - g.steps * run.batch_tokens)
-                     <= TOKEN_RTOL * (g.steps * run.batch_tokens)),
+        (tokens_off,
          lambda g, p: f"tokens {float(g.tokens[p])!r} inconsistent with "
                       f"step {float(g.steps[p])!r} at batch {run.batch_tokens!r}"),
         # values are valid by now; each set's steps must rise strictly

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .laws import ScalingConstants, integer_at_least, loss_at_convergence, positive_real, solve_loss
+from .laws import (
+    ScalingConstants,
+    integer_at_least,
+    loss_at_convergence,
+    positive_real,
+    real_array,
+    solve_loss,
+)
 from .records import SPLITS, ConvergedRun, RunRecord, _ColumnSet
 
 _DEFAULT_CONTEXT = 1024
@@ -38,8 +45,9 @@ class NoiseSpec:
         """Noise factors for one run, drawn from an independent sub-stream."""
         if self.sigma == 0.0:
             return np.ones(count)
-        rng = np.random.default_rng([self.seed, stream])
-        return np.exp(self.sigma * rng.standard_normal(count))
+        z = np.random.default_rng([self.seed, stream]).standard_normal(count)
+        z *= self.sigma
+        return np.exp(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ def gen_converged_suite(
         sizes: parameter counts; repeats are allowed and redrawn.
         noise: per-size measurement noise.
     """
-    sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
+    sizes = np.atleast_1d(real_array("sizes", sizes))
     losses = np.atleast_1d(loss_at_convergence(c, sizes)) * noise.factors(sizes.size)
     return [ConvergedRun(float(n), float(l)) for n, l in zip(sizes, losses)]
 
@@ -135,8 +143,11 @@ def gen_trajectory(
             NoiseSpec draw independent noise when their streams differ.
     """
     steps = _step_grid(num_steps, log_every)
-    clean = np.atleast_1d(solve_loss(c, n, steps, batch_tokens))
-    observed = (clean + warmup.added(steps)) * noise.factors(steps.size, stream)
+    # the solved losses are a fresh array: inflate and scale them in place
+    observed = solve_loss(c, n, steps, batch_tokens)
+    if warmup.length and warmup.inflation:  # else added() is all zeros
+        observed += warmup.added(steps)
+    observed *= noise.factors(steps.size, stream)
     if run_id is None:
         run_id = f"sim-n{float(n):g}-b{float(batch_tokens):g}-r{stream}"
     return _to_record(run_id, c, n, batch_tokens, steps, observed)

@@ -111,6 +111,8 @@ class TestConvergedLoss:
 
     @pytest.mark.parametrize("bad", [
         0.0, -1.0, math.nan, math.inf, [1e6, -1.0], True, np.bool_(True), [True, True],
+        [True, 1e6], (np.True_, 1e6), "1e6", b"1e6", 1e6 + 0j, [1e6, None], [[1e6], [1e7, 1e8]],
+        10**400,
     ])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(DomainError):
@@ -302,7 +304,22 @@ class TestSolveLoss:
         dict(n=1e9, steps=1e5, batch_tokens=math.nan),
         dict(n=True, steps=1e5, batch_tokens=5e5),
         dict(n=1e9, steps=np.array([True, True]), batch_tokens=5e5),
+        dict(n="1e7", steps=100, batch_tokens=1e6),
+        dict(n=b"1e7", steps=100, batch_tokens=1e6),
+        dict(n="abc", steps=100, batch_tokens=1e6),
+        dict(n=1e7 + 1j, steps=100, batch_tokens=1e6),
+        dict(n=1e7, steps=np.array([100, 200], dtype=complex), batch_tokens=1e6),
+        dict(n=1e7, steps=[True, 200.0], batch_tokens=1e6),
     ])
     def test_rejects_bad_inputs(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^(n|steps|batch_tokens) must"):
             solve_loss(C4, **kwargs)
+
+    @pytest.mark.parametrize("n", ["1e7", 1e7 + 1j, [True, 1e7]])
+    def test_rejection_names_the_value(self, n):
+        with pytest.raises(DomainError, match=r"^n must hold floats or float-range integers"):
+            solve_loss(C4, n, 100, 1e6)
+
+    def test_numpy_reals_accepted(self):
+        ref = solve_loss(C4, 1e7, 100.0, 1e6)
+        assert solve_loss(C4, np.float32(1e7), np.int64(100), np.uint32(1_000_000)) == pytest.approx(ref)

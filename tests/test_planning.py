@@ -211,6 +211,11 @@ class TestPredictTrajectory:
         with pytest.raises(DomainError):
             predict_trajectory(C4, True, 1e6, [10.0, 100.0])
 
+    @pytest.mark.parametrize("steps", [[True, 2.0], ["10", "20"], [b"10", b"20"], [10.0 + 0j, 20.0]])
+    def test_rejects_non_real_grids(self, steps):
+        with pytest.raises(DomainError, match="steps must hold floats"):
+            predict_trajectory(C4, 1e8, 1e6, steps)
+
     def test_overly_fine_grid_is_solver_error(self):
         # neighboring losses differ by less than one rounding step
         steps = 1e4 * (1.0 + 1e-15 * np.arange(3))

@@ -7,6 +7,7 @@ import pytest
 
 from scalinglaws import (
     C4_CONSTANTS,
+    DomainError,
     NoiseSpec,
     RunRecord,
     ValidationError,
@@ -177,6 +178,11 @@ class TestConverged:
             clean = loss_at_convergence(C4, r.n_params)
             assert r.final_loss != clean
             assert abs(np.log(r.final_loss / clean)) < 0.01 * 6
+
+    @pytest.mark.parametrize("sizes", [[True, 2e6], ["1e6", "2e6"], [1e6 + 0j], [1e6, None]])
+    def test_suite_rejects_non_real_sizes(self, sizes):
+        with pytest.raises(DomainError, match="sizes must hold floats"):
+            gen_converged_suite(C4, sizes)
 
     def test_plateau_log_sits_at_converged_loss(self):
         run = gen_converged_log(C4, n=1e7, samples=50)
