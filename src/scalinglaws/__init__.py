@@ -5,176 +5,22 @@ much larger runs, and split a compute budget between model size, batch
 size, and training steps.
 """
 
-from .errors import (
-    DiagnosticError,
-    DomainError,
-    FitFailureError,
-    FormatVersionError,
-    InconsistentConstantsError,
-    InsufficientDataError,
-    ParseError,
-    ScalingLawError,
-    ScalingLawWarning,
-    SolverError,
-    UnreachableLossError,
-    ValidationError,
-)
-from .laws import (
-    C4_CONSTANTS,
-    MIXED_CONSTANTS,
-    ScalingConstants,
-    critical_batch,
-    implicit_residual,
-    implicit_residual_derivative,
-    loss_at_convergence,
-    loss_at_min_steps,
-    min_steps_from_steps,
-    solve_loss,
-    steps_from_min_steps,
-    tradeoff_token_ratio,
-)
-from .records import (
-    ConvergedRun,
-    RunRecord,
-    WarmupTrim,
-    ema_smooth,
-    trim_warmup,
-)
-from .synthetic import (
-    NoiseSpec,
-    WarmupSpec,
-    gen_batch_scan,
-    gen_converged_log,
-    gen_converged_suite,
-    gen_trajectory,
-)
-from .fitting import (
-    BatchDiagnostic,
-    ContourFit,
-    ContourPoints,
-    DataDiagnostic,
-    FitOptions,
-    FitReport,
-    PostCorrection,
-    PowerLawFit,
-    StageFit,
-    default_contour_targets,
-    diagnose_infinite_batch,
-    diagnose_infinite_data,
-    extract_contours,
-    extract_converged_run,
-    fit_batch_stage,
-    fit_contour,
-    fit_converged_law,
-    fit_critical_batch_law,
-    fit_full_pipeline,
-    fit_step_law,
-    post_correct_batch_law,
-)
-from .planning import (
-    AllocationCheck,
-    AllocationPlan,
-    ComparisonRow,
-    DatasetComparison,
-    TrajectoryPrediction,
-    budget_exponent,
-    budget_scale,
-    compare_datasets,
-    min_budget_for_loss,
-    min_steps_for_loss,
-    min_tokens_for_loss,
-    optimal_allocation,
-    predict_trajectory,
-    recommend_batch,
-    verify_allocation,
-)
-from .io import (
-    ConstantsDocument,
-    document_from_report,
-    read_constants,
-    read_run_log,
-    write_constants,
-    write_run_log,
-)
+from .errors import *
+from .laws import *
+from .records import *
+from .synthetic import *
+from .fitting import *
+from .planning import *
+from .io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationCheck",
-    "AllocationPlan",
-    "BatchDiagnostic",
-    "C4_CONSTANTS",
-    "ComparisonRow",
-    "ConstantsDocument",
-    "ContourFit",
-    "ContourPoints",
-    "ConvergedRun",
-    "DataDiagnostic",
-    "DatasetComparison",
-    "DiagnosticError",
-    "DomainError",
-    "FitFailureError",
-    "FitOptions",
-    "FitReport",
-    "FormatVersionError",
-    "InconsistentConstantsError",
-    "InsufficientDataError",
-    "MIXED_CONSTANTS",
-    "NoiseSpec",
-    "ParseError",
-    "PostCorrection",
-    "PowerLawFit",
-    "RunRecord",
-    "ScalingConstants",
-    "ScalingLawError",
-    "ScalingLawWarning",
-    "SolverError",
-    "StageFit",
-    "TrajectoryPrediction",
-    "UnreachableLossError",
-    "ValidationError",
-    "WarmupSpec",
-    "WarmupTrim",
-    "budget_exponent",
-    "budget_scale",
-    "compare_datasets",
-    "critical_batch",
-    "default_contour_targets",
-    "diagnose_infinite_batch",
-    "diagnose_infinite_data",
-    "document_from_report",
-    "ema_smooth",
-    "extract_contours",
-    "extract_converged_run",
-    "fit_batch_stage",
-    "fit_contour",
-    "fit_converged_law",
-    "fit_critical_batch_law",
-    "fit_full_pipeline",
-    "fit_step_law",
-    "gen_batch_scan",
-    "gen_converged_log",
-    "gen_converged_suite",
-    "gen_trajectory",
-    "implicit_residual",
-    "implicit_residual_derivative",
-    "loss_at_convergence",
-    "loss_at_min_steps",
-    "min_budget_for_loss",
-    "min_steps_for_loss",
-    "min_steps_from_steps",
-    "min_tokens_for_loss",
-    "optimal_allocation",
-    "post_correct_batch_law",
-    "predict_trajectory",
-    "read_constants",
-    "read_run_log",
-    "recommend_batch",
-    "solve_loss",
-    "steps_from_min_steps",
-    "tradeoff_token_ratio",
-    "trim_warmup",
-    "verify_allocation",
-    "write_constants",
-    "write_run_log",
-]
+__all__ = sorted(
+    errors.__all__
+    + laws.__all__
+    + records.__all__
+    + synthetic.__all__
+    + fitting.__all__
+    + planning.__all__
+    + io.__all__
+)

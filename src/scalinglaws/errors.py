@@ -1,5 +1,20 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "DiagnosticError",
+    "DomainError",
+    "FitFailureError",
+    "FormatVersionError",
+    "InconsistentConstantsError",
+    "InsufficientDataError",
+    "ParseError",
+    "ScalingLawError",
+    "ScalingLawWarning",
+    "SolverError",
+    "UnreachableLossError",
+    "ValidationError",
+]
+
 
 class ScalingLawError(Exception):
     """Base class for every error this package raises on purpose."""

@@ -42,6 +42,30 @@ from .laws import (
 )
 from .records import SPLITS, ConvergedRun, RunRecord, WarmupTrim, ema_smooth, trim_warmup
 
+__all__ = [
+    "BatchDiagnostic",
+    "ContourFit",
+    "ContourPoints",
+    "DataDiagnostic",
+    "FitOptions",
+    "FitReport",
+    "PostCorrection",
+    "PowerLawFit",
+    "StageFit",
+    "default_contour_targets",
+    "diagnose_infinite_batch",
+    "diagnose_infinite_data",
+    "extract_contours",
+    "extract_converged_run",
+    "fit_batch_stage",
+    "fit_contour",
+    "fit_converged_law",
+    "fit_critical_batch_law",
+    "fit_full_pipeline",
+    "fit_step_law",
+    "post_correct_batch_law",
+]
+
 # Post-correction pairs need an excess steps/s_min - 1 above this: near
 # convergence, loss noise enters the excess multiplied by steps/s_min/excess,
 # and a cut at zero would keep only upward fluctuations, biasing the pool.

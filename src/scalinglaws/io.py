@@ -37,6 +37,15 @@ from .fitting import FitReport
 from .laws import CONSTANT_NAMES, ScalingConstants, check_constants
 from .records import SAMPLE_DTYPE, SPLIT_CODES, SPLITS, RunRecord, split_codes
 
+__all__ = [
+    "ConstantsDocument",
+    "document_from_report",
+    "read_constants",
+    "read_run_log",
+    "write_constants",
+    "write_run_log",
+]
+
 SCHEMA_VERSION = 1
 RUN_FORMATS = ("jsonl", "csv")
 _HEADER_FIELDS = ("run_id", "n_params", "batch_tokens", "context_length", "dataset_tag")
@@ -326,8 +335,8 @@ class ConstantsDocument:
     b_star and alpha_b are both None for a partial fit (no batch scan).
 
     Raises:
-        DomainError: a constant out of range, or only one of b_star and
-            alpha_b given.
+        DomainError: a constant out of range, only one of b_star and
+            alpha_b given, or meta or diagnostics not a dict.
     """
 
     n_c: float
@@ -340,6 +349,8 @@ class ConstantsDocument:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.meta, dict) and isinstance(self.diagnostics, dict)):
+            raise DomainError("meta and diagnostics must be objects")
         if (self.b_star is None) != (self.alpha_b is None):
             raise DomainError("b_star and alpha_b must be both set or both null")
         # the batch law comes last in CONSTANT_NAMES
@@ -434,7 +445,8 @@ def read_constants(source) -> ConstantsDocument:
     Raises:
         ParseError: not a constants document, or values that
             ConstantsDocument rejects (non-numbers, bools, out of range,
-            only one of b_star and alpha_b null).
+            only one of b_star and alpha_b null, meta or diagnostics not
+            an object).
         FormatVersionError: unknown schema version.
     """
     with _open_in(source) as handle:
@@ -457,13 +469,11 @@ def read_constants(source) -> ConstantsDocument:
     missing = [k for k in CONSTANT_NAMES if k not in block]
     if missing:
         raise ParseError(f"constants block missing {missing}")
-    meta = obj.get("meta", {})
-    diagnostics = obj.get("diagnostics", {})
-    if not isinstance(meta, dict) or not isinstance(diagnostics, dict):
-        raise ParseError("meta and diagnostics must be objects")
     try:
         return ConstantsDocument(
-            **{k: block[k] for k in CONSTANT_NAMES}, meta=meta, diagnostics=diagnostics
+            **{k: block[k] for k in CONSTANT_NAMES},
+            meta=obj.get("meta", {}),
+            diagnostics=obj.get("diagnostics", {}),
         )
     except DomainError as e:
-        raise ParseError(f"bad constant: {e}") from None
+        raise ParseError(f"bad document: {e}") from None

@@ -40,6 +40,21 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 
+__all__ = [
+    "C4_CONSTANTS",
+    "MIXED_CONSTANTS",
+    "ScalingConstants",
+    "critical_batch",
+    "implicit_residual",
+    "implicit_residual_derivative",
+    "loss_at_convergence",
+    "loss_at_min_steps",
+    "min_steps_from_steps",
+    "solve_loss",
+    "steps_from_min_steps",
+    "tradeoff_token_ratio",
+]
+
 # Newton steps allowed to the loss root; extreme inputs (batches 1e-3 to
 # 1e30 tokens) need well under 40
 _MAX_NEWTON_STEPS = 100

@@ -47,6 +47,24 @@ from .laws import (
     solve_loss,
 )
 
+__all__ = [
+    "AllocationCheck",
+    "AllocationPlan",
+    "ComparisonRow",
+    "DatasetComparison",
+    "TrajectoryPrediction",
+    "budget_exponent",
+    "budget_scale",
+    "compare_datasets",
+    "min_budget_for_loss",
+    "min_steps_for_loss",
+    "min_tokens_for_loss",
+    "optimal_allocation",
+    "predict_trajectory",
+    "recommend_batch",
+    "verify_allocation",
+]
+
 # tokens-per-parameter cost of one training step: forward plus backward
 _FLOPS_FACTOR = 6.0
 
@@ -163,12 +181,16 @@ def optimal_allocation(c: ScalingConstants, budget) -> AllocationPlan:
     alpha_c = budget_exponent(c)
     ln_cc = _ln_budget_scale(c)
     t = math.log(budget) - ln_cc
-    ln_n = math.log(c.n_c) + (alpha_c / c.alpha_n) * t + math.log1p(r) / c.alpha_n
-    loss_final = math.exp(-alpha_c * t)
-    loss_converged = loss_final / (1.0 + r)
-    b_opt = c.b_star * math.exp(-math.log(loss_final) / c.alpha_b)
-    ln_s = math.log(budget) - math.log(_FLOPS_FACTOR) - ln_n - math.log(b_opt)
-    values = (math.exp(ln_n), math.exp(ln_s), b_opt, loss_final, loss_converged)
+    try:
+        ln_n = math.log(c.n_c) + (alpha_c / c.alpha_n) * t + math.log1p(r) / c.alpha_n
+        loss_final = math.exp(-alpha_c * t)
+        loss_converged = loss_final / (1.0 + r)
+        b_opt = c.b_star * math.exp(-math.log(loss_final) / c.alpha_b)
+        ln_s = math.log(budget) - math.log(_FLOPS_FACTOR) - ln_n - math.log(b_opt)
+        values = (math.exp(ln_n), math.exp(ln_s), b_opt, loss_final, loss_converged)
+        c_c = math.exp(ln_cc)
+    except (OverflowError, ValueError):  # an exp overflowed, or a log met an underflowed zero
+        values = (math.inf,)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise DomainError(f"allocation overflows at budget {budget!r}")
     return AllocationPlan(
@@ -178,7 +200,7 @@ def optimal_allocation(c: ScalingConstants, budget) -> AllocationPlan:
         b_opt=b_opt,
         loss_final=loss_final,
         loss_converged=loss_converged,
-        c_c=math.exp(ln_cc),
+        c_c=c_c,
         alpha_c=alpha_c,
     )
 

@@ -22,6 +22,14 @@ import numpy as np
 from .errors import ValidationError
 from .laws import integer_at_least, positive_real
 
+__all__ = [
+    "ConvergedRun",
+    "RunRecord",
+    "WarmupTrim",
+    "ema_smooth",
+    "trim_warmup",
+]
+
 SPLITS = ("train", "test")
 # split name -> the code stored in the split column
 SPLIT_CODES = {name: code for code, name in enumerate(SPLITS)}
@@ -84,9 +92,12 @@ class RunRecord:
             raise ValidationError(f"run_id must be a non-empty string, got {self.run_id!r}")
         if not isinstance(self.dataset_tag, str):
             raise ValidationError(f"dataset_tag must be a string, got {self.dataset_tag!r}")
+        # numpy numbers are accepted but stored as Python ones, which JSON can write
         for name in ("n_params", "batch_tokens"):
             positive_real(name, getattr(self, name), error=ValidationError)
+            object.__setattr__(self, name, float(getattr(self, name)))
         integer_at_least("context_length", self.context_length, 1, ValidationError)
+        object.__setattr__(self, "context_length", int(self.context_length))
         row_name = row_names or (lambda i: f"sample {i}")
         groups = [samples] if isinstance(samples, _ColumnSet) else _grouped(self, samples, row_name)
         object.__setattr__(self, "_columns", _checked(self, groups, row_name))

@@ -22,6 +22,15 @@ from .laws import (
 )
 from .records import SPLITS, ConvergedRun, RunRecord, _ColumnSet
 
+__all__ = [
+    "NoiseSpec",
+    "WarmupSpec",
+    "gen_batch_scan",
+    "gen_converged_log",
+    "gen_converged_suite",
+    "gen_trajectory",
+]
+
 _DEFAULT_CONTEXT = 1024
 
 
@@ -172,7 +181,7 @@ def gen_batch_scan(
     Returns:
         Runs ordered by increasing batch size.
     """
-    batches = [float(b) for b in batches]
+    batches = real_array("batches", batches).tolist()
     if len(batches) < 2:
         raise ValidationError("a batch scan needs at least two batch sizes")
     if len(set(batches)) != len(batches):
@@ -209,6 +218,7 @@ def gen_converged_log(
     run id is ``sim-converged-n{n:g}-r{stream}``.
     """
     integer_at_least("samples", samples, 1, ValidationError)
+    positive_real("batch_tokens", batch_tokens)
     # the tail's steps only index it: 10000, 10100, ...
     steps = 10_000.0 + 100.0 * np.arange(samples, dtype=float)
     level = loss_at_convergence(c, n)

@@ -98,7 +98,8 @@ class TestPredict:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["1:inf:10", "nan:10:5", "1:10:1", f"1:10:{MAX_GRID_POINTS + 1}"])
+    @pytest.mark.parametrize("spec", ["1:inf:10", "nan:10:5", "1:10:1", f"1:10:{MAX_GRID_POINTS + 1}",
+                                      "1:2", "a:b:3"])
     def test_steps_range_out_of_bounds_is_only_an_error_line(self, constants_path, capsys, spec):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -197,6 +198,19 @@ class TestPlan:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "target loss" in err
 
+    @pytest.mark.parametrize("constants, budget", [
+        ((1.5e48, 0.6, 1.6e103, 0.4, 1.9e265, 0.73), "2e-237"),
+        ((5e137, 1.08, 1.1e261, 1.62, 4.4e-299, 1.71), "1.4e-280"),
+    ])
+    def test_allocation_overflow_is_operation_error(self, tmp_path, capsys, constants, budget):
+        path = tmp_path / "extreme.json"
+        write_constants(ScalingConstants(*constants), path)
+        rc = run_cli("plan", "--constants", str(path), "--budget-flops", budget)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: allocation overflows") and captured.err.count("\n") == 1
+
 
 class TestSimulate:
     def test_trajectory_round_trip(self, constants_path, tmp_path, capsys):
@@ -237,6 +251,16 @@ class TestSimulate:
         assert len(paths) == 2
         sizes = sorted(read_run_log(p).n_params for p in paths)
         assert sizes == [1e6, 1e7]
+
+    def test_empty_sizes_is_operation_error(self, constants_path, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--constants", constants_path, "--kind", "converged",
+            "--sizes", ",", "--out-dir", str(tmp_path / "conv"),
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sizes is empty\n"
 
     @pytest.mark.parametrize("argv", [
         ("--kind", "trajectory", "--n-params", "1e7", "--batch-tokens", "1e6"),
@@ -346,6 +370,18 @@ class TestScanAndDiagnose:
         text = capsys.readouterr().out
         assert text.count("max deviation") == 2
         assert "batch effectively unbounded" in text
+
+    def test_diagnose_reports_stationary_batch(self, constants_path, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--constants", constants_path, "--kind", "scan",
+            "--n-params", "1e7", "--batch-tokens", "1e4,1e11,1e12",
+            "--num-steps", "500", "--log-every", "50", "--out-dir", str(tmp_path),
+        ) == 0
+        argv = ["diagnose"]
+        for p in capsys.readouterr().out.split():
+            argv += ["--log", p]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "batch effectively unbounded from: 1e+11"
 
 
 class TestFitClosure:

@@ -83,6 +83,11 @@ class TestConvergedLaw:
         with pytest.raises(InsufficientDataError):
             fit_converged_law([ConvergedRun(1e7, 3.5), ConvergedRun(1e7, 3.4)])
 
+    def test_equal_losses_fit_no_exponent(self):
+        # a constant response: r_squared comes from the zero-variance branch
+        with pytest.raises(FitFailureError, match="exponent"):
+            fit_converged_law([ConvergedRun(1e6, 3.0), ConvergedRun(1e7, 3.0)])
+
     def test_warns_on_non_monotone_losses(self):
         runs = [ConvergedRun(1e6, 5.0), ConvergedRun(1e7, 5.5), ConvergedRun(1e8, 3.0)]
         with pytest.warns(ScalingLawWarning, match="not monotone"):
@@ -232,6 +237,12 @@ class TestFitContour:
         with pytest.raises(InsufficientDataError):
             fit_contour(points)
 
+    def test_equal_batches_rejected(self):
+        batches = np.array([1e5, 1e5])
+        steps = np.array([3000.0, 3100.0])
+        with pytest.raises(InsufficientDataError, match="all identical"):
+            fit_contour(ContourPoints(2.5, batches, steps, batches * steps))
+
 
 def exact_contour(loss, b_star=C4.b_star, alpha_b=C4.alpha_b):
     b_crit = b_star * loss ** (-1.0 / alpha_b)
@@ -333,6 +344,16 @@ class TestDiagnostics:
         )
         with pytest.raises(DiagnosticError, match="both splits"):
             diagnose_infinite_data(run)
+
+    def test_disjoint_split_grids_are_diagnostic_error(self):
+        samples = [(step, step * 1e6, 3.0, "train") for step in (100.0, 200.0)]
+        samples += [(step, step * 1e6, 3.0, "test") for step in (1000.0, 2000.0)]
+        run = RunRecord(
+            run_id="r0", n_params=1e7, batch_tokens=1e6,
+            context_length=1024, dataset_tag="c4", samples=samples,
+        )
+        with pytest.raises(DiagnosticError, match="share no step range"):
+            diagnose_infinite_data(run, trim=WarmupTrim(0, 0))
 
     def test_stationary_batch_found(self):
         runs = gen_batch_scan(

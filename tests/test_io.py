@@ -1,5 +1,6 @@
 """Serialization: run logs and constants documents."""
 
+import dataclasses
 import io
 import json
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scalinglaws import (
     C4_CONSTANTS,
     ConstantsDocument,
+    DomainError,
     FormatVersionError,
     ParseError,
     RunRecord,
@@ -34,6 +36,7 @@ from scalinglaws import (
 from scalinglaws import io as sio
 from scalinglaws.errors import ScalingLawError
 from scalinglaws.io import _open_out
+from scalinglaws.laws import CONSTANT_NAMES
 from scalinglaws.records import TOKEN_RTOL
 
 C4 = C4_CONSTANTS
@@ -53,17 +56,22 @@ def awkward_run():
     )
 
 
-@pytest.fixture(scope="module")
-def full_report():
-    converged = gen_converged_suite(C4, [1e6, 3e6, 1e7, 3e7])
-    big = gen_trajectory(C4, n=1e7, batch_tokens=1e12, num_steps=2000, log_every=2)
+def fit_campaign(c):
+    """Fit a complete campaign generated from constants ``c``."""
+    converged = gen_converged_suite(c, [1e6, 3e6, 1e7, 3e7])
+    big = gen_trajectory(c, n=1e7, batch_tokens=1e12, num_steps=2000, log_every=2)
     batches = [1e5, 1e6, 1e7]
     steps = [
-        int(1.25 * min_steps_for_loss(C4, 1e7, 4.2) * (1 + critical_batch(C4, 4.2) / b))
+        int(1.25 * min_steps_for_loss(c, 1e7, 4.2) * (1 + critical_batch(c, 4.2) / b))
         for b in batches
     ]
-    scans = gen_batch_scan(C4, n=1e7, batches=batches, num_steps=steps)
+    scans = gen_batch_scan(c, n=1e7, batches=batches, num_steps=steps)
     return fit_full_pipeline(converged, big, scans)
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    return fit_campaign(C4)
 
 
 class TestRunLogRoundTrip:
@@ -103,6 +111,13 @@ class TestRunLogRoundTrip:
         header = json.loads(out.splitlines()[0])
         assert header["run_id"] == "awkward/run:1"
         assert len(out.splitlines()) == 1 + len(run.samples)
+
+    def test_stdin_source(self, monkeypatch):
+        run = awkward_run()
+        text = io.StringIO()
+        write_run_log(run, text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.getvalue()))
+        assert read_run_log("-") == run
 
     def test_counts_written_as_integers(self, tmp_path):
         run = gen_trajectory(C4, n=1e7, batch_tokens=1e5, num_steps=100, log_every=50)
@@ -558,6 +573,13 @@ class TestConstantsDocuments:
         again = doc.constants()
         assert again == C4
 
+    @pytest.mark.parametrize("field", ["meta", "diagnostics"])
+    def test_non_dict_block_refused_before_writing(self, field):
+        # else write_constants would write what read_constants refuses
+        values = {name: getattr(C4, name) for name in CONSTANT_NAMES}
+        with pytest.raises(DomainError, match="meta and diagnostics must be objects"):
+            ConstantsDocument(**values, **{field: "x"})
+
     def test_scientific_notation_in_file(self, tmp_path):
         path = tmp_path / "constants.json"
         write_constants(C4, path)
@@ -579,6 +601,14 @@ class TestConstantsDocuments:
         assert back.diagnostics["converged_stage"]["count"] == 4
         assert "post_correction" in back.diagnostics
         assert back.meta["dataset_tag"] == "c4"
+
+    def test_numpy_context_length_round_trip(self, tmp_path):
+        # the runs keep numpy header numbers as Python ones, so the document is JSON
+        meta = {"dataset_tag": "c4", "context_length": np.int64(1024)}
+        report = fit_campaign(dataclasses.replace(C4, meta=meta))
+        path = tmp_path / "fit.json"
+        write_constants(report, path)
+        assert read_constants(path) == document_from_report(report)
 
     def test_partial_fit_round_trip(self, tmp_path):
         converged = gen_converged_suite(C4, [1e6, 1e7, 1e8])
@@ -604,6 +634,10 @@ class TestConstantsDocuments:
                              FormatVersionError),
             "noblock.json": ('{"schema_version": 1, "kind": "scaling-constants"}',
                              ParseError),
+            "array.json": ("[1, 2]", ParseError),
+            "meta.json": ('{"schema_version": 1, "constants": {"n_c": 1.5e14, "alpha_n": 0.076, '
+                          '"s_c": 2.6e3, "alpha_s": 0.67, "b_star": null, "alpha_b": null}, '
+                          '"meta": "c4"}', ParseError),
         }
         for name, (text, exc) in cases.items():
             path = tmp_path / name

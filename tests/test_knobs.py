@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scalinglaws import (
     C4_CONSTANTS,
+    DomainError,
     FitOptions,
     NoiseSpec,
     RunRecord,
@@ -104,6 +105,19 @@ class TestGeneratorKnobs:
     def test_warmup_trim_rejects_integer_beyond_float(self):
         with pytest.raises(ValidationError, match="min_step"):
             WarmupTrim(10**400, 0)
+
+    # a bool or string batch is refused before any float() could convert it
+    @pytest.mark.parametrize("generate", [
+        pytest.param(lambda: gen_trajectory(C4, 1e7, True, 200), id="bool-trajectory-batch"),
+        pytest.param(lambda: gen_trajectory(C4, 1e7, "1e6", 200), id="string-trajectory-batch"),
+        pytest.param(lambda: gen_batch_scan(C4, 1e7, [True, 2e4], 200), id="bool-in-scan"),
+        pytest.param(lambda: gen_batch_scan(C4, 1e7, ["1e4", "2e4"], 200), id="strings-in-scan"),
+        pytest.param(lambda: gen_converged_log(C4, 1e7, batch_tokens=True), id="bool-converged-batch"),
+        pytest.param(lambda: gen_converged_log(C4, 1e7, batch_tokens="1e6"), id="string-converged-batch"),
+    ])
+    def test_non_real_batch_rejected(self, generate):
+        with pytest.raises(DomainError, match="batch"):
+            generate()
 
     def test_batch_scan_refuses_fractional_steps(self):
         with pytest.raises(ValidationError, match="num_steps"):

@@ -101,6 +101,17 @@ class TestOptimalAllocation:
         with pytest.raises(DomainError):
             optimal_allocation(C4, bad)
 
+    # an exp overflows; a log meets a loss that underflowed to zero; n_opt
+    # underflows to zero with no math error on the way
+    @pytest.mark.parametrize("constants, budget", [
+        ((1.5e48, 0.6, 1.6e103, 0.4, 1.9e265, 0.73), 2e-237),
+        ((5e137, 1.08, 1.1e261, 1.62, 4.4e-299, 1.71), 1.4e-280),
+        ((6e-277, 0.07, 3.5e289, 0.63, 8.8e57, 0.93), 9.3e-113),
+    ])
+    def test_allocation_overflow_is_domain_error(self, constants, budget):
+        with pytest.raises(DomainError, match="allocation overflows"):
+            optimal_allocation(ScalingConstants(*constants), budget)
+
 
 class TestVerifyAllocation:
     def test_grid_confirms_plan(self):

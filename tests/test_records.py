@@ -303,6 +303,16 @@ class TestHash:
         assert len(set(runs)) == 1
         assert hash(runs[0]) != hash(RunRecord(samples=generated.samples, **{**header, "run_id": "r1"}))
 
+    def test_never_equal_to_a_non_record(self):
+        run = make_run([100.0, 200.0], [3.0, 2.9])
+        assert run.__eq__("r0") is NotImplemented
+        assert run != "r0" and run != 1e7
+
+    def test_numpy_header_numbers_stored_as_python_numbers(self):
+        run = make_run([100.0, 200.0], [3.0, 2.9], n_params=np.float32(1e7), context_length=np.int64(1024))
+        assert type(run.n_params) is float and type(run.batch_tokens) is float
+        assert type(run.context_length) is int and run.context_length == 1024
+
 
 def ema(steps, losses, half_life):
     """The smoothing, written out for one split."""
